@@ -7,8 +7,8 @@ Times every hot path that gained a CSR-kernel engine against its
   on the high-cut-off RIN of each protein; plus the shortest-path kernel
   suite — ``betweenness_batched`` (batched SpMM Brandes vs the
   superseded ``impl="persource"`` level-vectorized sweep) and
-  ``weighted_closeness`` / ``weighted_betweenness`` (multi-source
-  delta-stepping vs the per-source heap-Dijkstra reference) on a
+  ``weighted_closeness`` / ``weighted_betweenness`` (scipy's compiled
+  multi-source Dijkstra vs the per-source heap-Dijkstra reference) on a
   contact-distance-weighted RIN;
 * Fig. 7 (cut-off switch): the full cut-off scan and the DynamicRIN
   cut-off diff sequence; plus the sharded scanning engine —
@@ -34,7 +34,7 @@ Times every hot path that gained a CSR-kernel engine against its
   ``betweenness_directed`` (the batched directed Brandes sweep vs the
   per-source scalar reference on a seeded ER digraph) and
   ``weighted_betweenness_sampled`` (the sharded pivot-sampling
-  estimator vs the exact delta-stepping engine on a weighted
+  estimator vs the exact weighted Brandes engine on a weighted
   Barabási–Albert graph; the <= 0.05 mean-absolute-rank-error half of
   the acceptance gate is asserted in-run);
 * interactive latency: a burst of rapid cut-off slider events replayed
@@ -191,7 +191,7 @@ def main() -> int:
         )
 
         # Weighted kernels on a contact-distance-weighted RIN: batched
-        # delta-stepping vs the per-source heap-Dijkstra reference.
+        # compiled Dijkstra vs the per-source heap-Dijkstra reference.
         dm = residue_distance_matrix(topo, frame0, "min")
         g_weighted = Graph.from_weighted_edges(
             g_high.number_of_nodes(),
@@ -451,7 +451,7 @@ def main() -> int:
 
     # Sampled weighted betweenness: a 2500-node Barabási–Albert graph
     # with seeded uniform weights — the 288-pivot sharded estimator
-    # against the exact multi-source delta-stepping engine. Acceptance
+    # against the exact weighted Brandes engine. Acceptance
     # floor: 5x at <= 0.05 mean absolute rank error; the rank-error half
     # of the gate is asserted here (it is deterministic under the fixed
     # seeds) and recorded next to the timings.

@@ -7,8 +7,8 @@ per-source sweep as ``impl="persource"`` and, with ``weighted=True``,
 the seeded pivot estimator as ``impl="sampled"`` (Hoeffding error bound
 via ``sampled_betweenness_error_bound``). Shortest-path measures take
 ``weighted=True`` to read edge weights as distances (SpMM BFS swaps for
-multi-source delta-stepping); ``Betweenness(directed=True)`` runs the
-directed batched Brandes kernel. Sampling approximations
+scipy's compiled multi-source Dijkstra); ``Betweenness(directed=True)``
+runs the directed batched Brandes kernel. Sampling approximations
 (EstimateBetweenness, ApproxCloseness) have no scalar twin and raise
 ``NotImplementedError`` on ``impl="reference"`` rather than silently
 running the fast engine. See ``docs/KERNELS.md`` for the kernel block

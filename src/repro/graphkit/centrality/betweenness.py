@@ -5,8 +5,8 @@ dense ``(sources, nodes)`` matrix ops per BFS level
 (:func:`~repro.graphkit.kernels.batched_brandes_dependencies`), processing
 sources in memory-bounded blocks distributed over worker threads — one
 SpMM per level for a whole block rather than one sweep per source. With
-``weighted=True`` distances come from the multi-source delta-stepping
-kernel and dependencies accumulate in distance rank order
+``weighted=True`` distances come from scipy's compiled multi-source
+Dijkstra and dependencies accumulate in distance rank order
 (:func:`~repro.graphkit.kernels.batched_weighted_dependencies`).
 
 ``directed=True`` switches to the directed batched kernel
@@ -19,7 +19,7 @@ testing: ``impl="persource"`` is the superseded level-vectorized
 one-sweep-per-source loop (unweighted only), ``impl="reference"`` the
 textbook scalar Brandes. With ``weighted=True`` a third engine,
 ``impl="sampled"``, runs the seeded source-sampling estimator over the
-delta-stepping kernel with a Hoeffding absolute-error bound
+weighted kernel with a Hoeffding absolute-error bound
 (:func:`sampled_betweenness_error_bound`), sharded across
 :class:`~repro.graphkit.parallel.ShardedExecutor` workers with fixed
 shard boundaries so results are bit-identical for any worker count.
@@ -171,7 +171,7 @@ class Betweenness(Centrality):
         ``1 / ((n-1)(n-2))`` (directed).
     weighted:
         Use edge weights as distances (strictly positive weights
-        required). The vectorized engine then runs delta-stepping +
+        required). The vectorized engine then runs compiled Dijkstra +
         rank-ordered accumulation; ``impl="persource"`` is unavailable.
     directed:
         Directed shortest-path semantics via the directed batched kernel

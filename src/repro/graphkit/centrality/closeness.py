@@ -7,9 +7,9 @@ RINs at small cut-offs).  Harmonic centrality sums ``1 / d(u, v)`` and
 needs no reachability correction.
 
 Both measures batch their sources: hop distances come from the SpMM BFS
-kernel, weighted distances (``weighted=True``) from the multi-source
-delta-stepping kernel — no per-source queue or heap loop on either path
-(see ``docs/KERNELS.md``).
+kernel, weighted distances (``weighted=True``) from scipy's compiled
+multi-source Dijkstra — no per-source Python queue or heap loop on
+either path (see ``docs/KERNELS.md``).
 """
 
 from __future__ import annotations
@@ -17,11 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..csr import CSRGraph
-from ..kernels import (
-    batched_bfs_distances,
-    batched_delta_stepping_distances,
-    source_blocks,
-)
+from ..kernels import batched_bfs_distances, dijkstra_distances, source_blocks
 from ..parallel import parallel_for_chunks
 from . import reference
 from .base import Centrality
@@ -33,7 +29,7 @@ def _block_distances(csr: CSRGraph, lo: int, hi: int, weighted: bool) -> np.ndar
     """Distances of the ``[lo, hi)`` source block as a float matrix with
     ``np.inf`` for unreachable pairs (uniform across both kernels)."""
     if weighted:
-        return batched_delta_stepping_distances(csr, np.arange(lo, hi))
+        return dijkstra_distances(csr, np.arange(lo, hi))
     d = batched_bfs_distances(csr, np.arange(lo, hi)).astype(np.float64)
     d[d < 0] = np.inf
     return d
@@ -44,10 +40,10 @@ class Closeness(Centrality):
 
     The vectorized engine sweeps blocks of sources with the level-
     synchronous :func:`~repro.graphkit.kernels.batched_bfs_distances`
-    kernel — or, with ``weighted=True``, the bucketed
-    :func:`~repro.graphkit.kernels.batched_delta_stepping_distances`
-    kernel — one compiled pass per level/bucket for the whole block;
-    blocks are distributed over worker threads. ``impl="reference"`` runs
+    kernel — one compiled pass per level for the whole block — or, with
+    ``weighted=True``, scipy's compiled Dijkstra via
+    :func:`~repro.graphkit.kernels.dijkstra_distances`; blocks are
+    distributed over worker threads. ``impl="reference"`` runs
     the textbook one-traversal-per-node loop instead (queue BFS, or heap
     Dijkstra when weighted).
 
@@ -117,7 +113,7 @@ class HarmonicCloseness(Centrality):
     """Harmonic centrality: ``Σ_{v≠u} 1 / d(u, v)`` (0 for unreachable).
 
     Batched like :class:`Closeness`; ``weighted=True`` swaps the SpMM BFS
-    kernel for the delta-stepping kernel.
+    kernel for :func:`~repro.graphkit.kernels.dijkstra_distances`.
     """
 
     name = "harmonic"

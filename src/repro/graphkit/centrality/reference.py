@@ -162,7 +162,7 @@ def directed_betweenness_scores(csr: CSRGraph) -> np.ndarray:
 
 def weighted_closeness_scores(csr: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
     """Generalized *weighted* closeness: ``(raw, reach)``, one heap
-    Dijkstra per node (the scalar twin of the delta-stepping kernel)."""
+    Dijkstra per node (the scalar twin of ``dijkstra_distances``)."""
     n = csr.n
     raw = np.zeros(n, dtype=np.float64)
     reach = np.zeros(n, dtype=np.int64)

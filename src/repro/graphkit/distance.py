@@ -7,11 +7,11 @@ The BFS kernel is frontier-based: each level expands all frontier nodes at
 once via CSR gathers, so per-level work is a handful of NumPy calls rather
 than a Python loop over edges — the "vectorize the inner loop" idiom.
 Multi-source queries batch entirely: unweighted APSP runs the SpMM BFS
-kernel, weighted APSP and distance-to-set queries run the multi-source
-delta-stepping kernel (no per-source heap loop; see ``docs/KERNELS.md``).
-:func:`dijkstra` remains the scalar single-source API and doubles as the
-reference twin the batched weighted kernels are differentially tested
-against.
+kernel, weighted APSP and distance-to-set queries one call into scipy's
+compiled Dijkstra (no per-source Python heap loop; see
+``docs/KERNELS.md``). :func:`dijkstra` remains the scalar single-source
+API and doubles as the reference twin the weighted kernels are
+differentially tested against.
 """
 
 from __future__ import annotations
@@ -22,11 +22,7 @@ import numpy as np
 
 from .csr import CSRGraph
 from .graph import Graph
-from .kernels import (
-    batched_bfs_distances,
-    batched_delta_stepping_distances,
-    multi_source_delta_stepping,
-)
+from .kernels import batched_bfs_distances, dijkstra_distances
 from .parallel import parallel_for_chunks
 
 __all__ = [
@@ -77,6 +73,8 @@ def bfs_tree(g: Graph | CSRGraph, source: int) -> tuple[np.ndarray, np.ndarray]:
     """BFS distances and one predecessor per node (-1 at roots/unreached)."""
     csr = _as_csr(g)
     n = csr.n
+    if not 0 <= source < n:
+        raise IndexError(f"source {source} out of range [0, {n})")
     dist = np.full(n, UNREACHED, dtype=np.int64)
     parent = np.full(n, -1, dtype=np.int64)
     dist[source] = 0
@@ -96,9 +94,10 @@ def bfs_tree(g: Graph | CSRGraph, source: int) -> tuple[np.ndarray, np.ndarray]:
 def dijkstra(g: Graph | CSRGraph, source: int) -> np.ndarray:
     """Weighted shortest-path distances from ``source`` (inf if unreached).
 
-    Textbook binary-heap Dijkstra — the scalar reference twin of the
-    batched delta-stepping kernel; multi-source callers (weighted APSP,
-    weighted closeness) use the kernel instead of looping this.
+    Textbook binary-heap Dijkstra — the scalar reference twin of
+    :func:`~repro.graphkit.kernels.dijkstra_distances`; multi-source
+    callers (weighted APSP, weighted closeness) use the kernel instead
+    of looping this.
     """
     csr = _as_csr(g)
     n = csr.n
@@ -137,33 +136,25 @@ def all_pairs_distances(
     Unweighted distances run the batched level-synchronous BFS kernel over
     a static block decomposition of the sources (one sparse-dense product
     per level per block; above the bit-packing threshold the frontier is
-    carried as uint64 bitsets — ``packed`` forces the choice); weighted
-    distances run the batched multi-source delta-stepping kernel over the
-    same decomposition (one arc-parallel relaxation per bucket phase per
-    block — no per-source heap loop). Unreachable pairs are ``inf`` in
-    the returned float matrix.
+    carried as uint64 bitsets — ``packed`` forces the choice). Weighted
+    distances are one call into scipy's compiled Dijkstra from every
+    source. The ``(n, n)`` result is the only dense block it allocates,
+    and the call holds the GIL, so ``threads`` does not apply.
+    Unreachable pairs are ``inf`` in the returned float matrix.
     """
     csr = _as_csr(g)
     n = csr.n
+    if weighted:
+        return dijkstra_distances(csr, np.arange(n))
     out = np.full((n, n), np.inf)
 
-    if weighted:
-        def run_chunk(start: int, stop: int) -> None:
-            if stop <= start:
-                return
-            out[start:stop] = batched_delta_stepping_distances(
-                csr, np.arange(start, stop)
-            )
-    else:
-        def run_chunk(start: int, stop: int) -> None:
-            if stop <= start:
-                return
-            d = batched_bfs_distances(
-                csr, np.arange(start, stop), packed=packed
-            )
-            block = out[start:stop]
-            reached = d >= 0
-            block[reached] = d[reached]
+    def run_chunk(start: int, stop: int) -> None:
+        if stop <= start:
+            return
+        d = batched_bfs_distances(csr, np.arange(start, stop), packed=packed)
+        block = out[start:stop]
+        reached = d >= 0
+        block[reached] = d[reached]
 
     parallel_for_chunks(run_chunk, n, threads=threads)
     return out
@@ -212,11 +203,10 @@ def multi_source_dijkstra(g: Graph | CSRGraph, sources) -> np.ndarray:
     """Weighted distance to the *nearest* of several sources (inf if
     unreachable) — the weighted counterpart of :func:`multi_source_bfs`.
 
-    One delta-stepping sweep seeded at every source simultaneously, not a
-    per-source heap loop.
+    One compiled Dijkstra sweep seeded at every source simultaneously,
+    not a per-source heap loop.
     """
-    csr = _as_csr(g)
-    return multi_source_delta_stepping(csr, sources)
+    return dijkstra_distances(_as_csr(g), list(sources), min_only=True)
 
 
 def effective_diameter(

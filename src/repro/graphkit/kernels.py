@@ -20,23 +20,24 @@ set of NumPy kernels over :class:`~repro.graphkit.csr.CSRGraph` arrays:
 * **batched Brandes** — the betweenness forward/backward sweeps with
   sigma/delta carried as dense ``(b, n)`` matrices, one SpMM per BFS
   level for a whole block of sources;
-* **delta-stepping** — multi-source *weighted* shortest paths with
-  bucket-gated vectorized relaxations over the CSR arc arrays (the
-  weighted closeness/harmonic/betweenness and weighted-APSP workhorse);
+* **weighted shortest paths** — scipy's compiled multi-source Dijkstra
+  on the snapshot's cached scipy matrix (the weighted closeness/
+  harmonic/betweenness and weighted-APSP workhorse);
 * **coordinate kernels** — pairwise residue distances and the sorted
   contact order that turns a cut-off sweep into ``searchsorted`` prefixes.
 
 The kernels are deliberately allocation-light and loop-free so that the
 interactive paths the paper benchmarks (measure/cut-off/frame switches,
 Figs. 6-8) spend their time inside compiled NumPy/SciPy code. The block
-math behind the batched Brandes and delta-stepping kernels is documented
-in ``docs/KERNELS.md`` (the algorithms handbook); every kernel keeps a
+math behind the batched Brandes kernels is documented in
+``docs/KERNELS.md`` (the algorithms handbook); every kernel keeps a
 scalar reference twin for differential testing.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from .csr import CSRGraph
 
@@ -56,8 +57,7 @@ __all__ = [
     "batched_bfs_distances",
     "batched_brandes_dependencies",
     "batched_brandes_dependencies_directed",
-    "batched_delta_stepping_distances",
-    "multi_source_delta_stepping",
+    "dijkstra_distances",
     "batched_weighted_dependencies",
     "pairwise_distances",
     "sorted_contact_order",
@@ -242,8 +242,7 @@ def packed_spmm_or(csr: CSRGraph, packed: np.ndarray) -> np.ndarray:
     # exactly one row's arc span (rows between them are empty), so each
     # segment ORs precisely that row's neighbour words. Passing empty
     # rows' offsets would instead return a stray element (reduceat's
-    # repeated-offset rule) — the same nz-select _delta_stepping_block
-    # uses for its segmented minima.
+    # repeated-offset rule).
     gathered = packed[csr.indices]
     out[nz] = np.bitwise_or.reduceat(gathered, csr.indptr[nz], axis=0)
     return out
@@ -636,201 +635,44 @@ def batched_brandes_dependencies_directed(
 
 
 # ----------------------------------------------------------------------
-# delta-stepping (multi-source weighted shortest paths)
-#
-# Bucket invariants (see docs/KERNELS.md for the full derivation):
-#   1. entries are settled bucket by bucket: once no pending entry has a
-#      tentative distance below (B+1)·delta, every distance below that
-#      threshold is final (any improving path would have to leave a node
-#      that was itself below the threshold and already fully relaxed);
-#   2. within the current bucket, relaxations repeat to a fixpoint, so
-#      chains of light edges inside one bucket resolve before the bucket
-#      is declared settled;
-#   3. tentative distances only ever decrease, so the sweep terminates
-#      (each entry takes finitely many distinct path-length values).
-#
-# The relaxation itself is arc-parallel: gather `dist[tail] + w` for
-# every arc whose tail is in the frontier, then a per-head segmented
-# minimum (`np.minimum.reduceat` over the head-grouped arc order, which
-# for a symmetric CSR is the row order itself).
+# weighted shortest paths (scipy's compiled Dijkstra)
 # ----------------------------------------------------------------------
-def _in_arc_view(csr: CSRGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arc arrays grouped by *head*: ``(starts_per_head, tails, weights)``.
-
-    For an undirected (symmetric) CSR this is the CSR itself — row ``v``
-    already enumerates the in-arcs of ``v`` with tails ``indices`` and
-    identical weights. Directed graphs get an explicit transpose via one
-    stable argsort of the head column.
-    """
-    if not csr.directed:
-        return csr.indptr, csr.indices, csr.weights
-    order = np.argsort(csr.indices, kind="stable")
-    in_indptr = np.zeros(csr.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(csr.indices, minlength=csr.n), out=in_indptr[1:])
-    return in_indptr, csr.arc_tails()[order], csr.weights[order]
-
-
-def _delta_stepping_block(
-    csr: CSRGraph,
-    dist: np.ndarray,
-    pending: np.ndarray,
-    *,
-    delta: float,
-) -> None:
-    """Settle one pre-seeded ``(b, n)`` tentative-distance block in place.
-
-    ``dist`` holds the seeds (0 at each row's sources, inf elsewhere) and
-    ``pending`` marks entries awaiting relaxation. On return ``dist`` is
-    the exact shortest-path distance matrix.
-    """
-    in_indptr, in_tails, in_weights = _in_arc_view(csr)
-    in_degrees = np.diff(in_indptr)
-    nz = np.flatnonzero(in_degrees > 0)
-    if len(nz) == 0:
-        return
-    # Head node of every in-arc (nondecreasing — the arcs are grouped by
-    # head), so any ascending arc subset stays head-grouped and segmented
-    # minima need only the subset's own boundaries.
-    arc_heads = np.repeat(np.arange(csr.n, dtype=np.int64), in_degrees)
-    while pending.any():
-        active = np.where(pending, dist, np.inf)
-        bucket = np.floor(active.min() / delta)
-        threshold = (bucket + 1.0) * delta
-        while True:
-            frontier = pending & (dist < threshold)
-            if not frontier.any():
-                break
-            pending &= ~frontier
-            # Relax only the arcs whose tail is in some row's frontier —
-            # phase cost scales with the live arc set, not with nnz. Rows
-            # where a live tail is *not* frontier still relax from its
-            # current tentative distance: that is an upper bound, so the
-            # extra relaxations are monotone no-ops at worst and the
-            # per-row frontier mask (a (b, nnz) select) can be skipped.
-            tails_live = frontier.any(axis=0)
-            if tails_live.all():
-                t_sel, w_sel = in_tails, in_weights
-                heads_sel, seg_starts = nz, in_indptr[nz]
-            else:
-                sel = np.flatnonzero(tails_live[in_tails])
-                if len(sel) == 0:
-                    continue
-                t_sel, w_sel = in_tails[sel], in_weights[sel]
-                heads_sel, seg_starts = np.unique(
-                    arc_heads[sel], return_index=True
-                )
-            cand = dist[:, t_sel] + w_sel[None, :]
-            red = np.minimum.reduceat(cand, seg_starts, axis=1)
-            improved_cols = red < dist[:, heads_sel]
-            if improved_cols.any():
-                sub = dist[:, heads_sel]
-                np.minimum(sub, red, out=sub)
-                dist[:, heads_sel] = sub
-                pending[:, heads_sel] |= improved_cols
-
-
-def _default_delta(csr: CSRGraph) -> float:
-    """Default bucket width: the mean positive arc weight.
-
-    Any positive width is correct (the bucket invariants do not depend on
-    it); the mean weight makes unit-weight graphs degenerate to exactly
-    one BFS level per bucket.
-    """
-    positive = csr.weights[csr.weights > 0]
-    return float(positive.mean()) if len(positive) else 1.0
-
-
-def _weighted_chunk_size(csr: CSRGraph, k: int) -> int:
-    """Block size keeping both (b, n) and (b, nnz) temporaries bounded."""
-    return max(1, min(k, DENSE_BLOCK_ENTRIES // max(csr.n, csr.nnz, 1)))
-
-
-def batched_delta_stepping_distances(
-    csr: CSRGraph,
-    sources: np.ndarray,
-    *,
-    delta: float | None = None,
-    chunk_size: int | None = None,
+def dijkstra_distances(
+    csr: CSRGraph, sources, *, min_only: bool = False
 ) -> np.ndarray:
-    """Weighted distances from every source at once — ``(len(sources), n)``.
+    """Weighted distances from ``sources`` — ``(len(sources), n)``.
 
-    The weighted analog of :func:`batched_bfs_distances`: a vectorized
-    multi-source delta-stepping sweep whose per-phase work is one
-    arc-parallel relaxation (gather + segmented minimum) for the whole
-    source block, instead of one binary-heap Dijkstra per source.
-    Unreachable entries are ``np.inf``.
-
-    ``delta`` is the bucket width (default: mean positive edge weight —
-    any positive value yields identical results, only phase count
-    changes); ``chunk_size`` bounds the dense block row count.
-    Requires non-negative edge weights.
+    One call into scipy's compiled multi-source Dijkstra
+    (:func:`scipy.sparse.csgraph.dijkstra`) on the cached scipy matrix;
+    unreachable entries are ``np.inf`` and explicit zero-weight arcs
+    count as edges. With ``min_only=True`` the result is instead the
+    ``(n,)`` distance of every node to its *nearest* source (one sweep
+    seeded at all sources). Requires non-negative edge weights.
     """
     sources = np.asarray(sources, dtype=np.int64)
     n = csr.n
-    k = len(sources)
-    if k == 0:
+    if len(sources) == 0:
+        if min_only:
+            raise ValueError("need at least one source")
         return np.empty((0, n), dtype=np.float64)
     if n == 0:
-        raise IndexError("delta-stepping sources on an empty graph")
+        raise IndexError("Dijkstra sources on an empty graph")
     if sources.min() < 0 or sources.max() >= n:
-        raise IndexError(f"delta-stepping source out of range [0, {n})")
+        raise IndexError(f"Dijkstra source out of range [0, {n})")
     if np.any(csr.weights < 0):
-        raise ValueError("delta-stepping requires non-negative edge weights")
-    if delta is None:
-        delta = _default_delta(csr)
-    if not delta > 0:
-        raise ValueError(f"bucket width delta must be positive, got {delta}")
-    if chunk_size is None:
-        chunk_size = _weighted_chunk_size(csr, k)
-    out = np.full((k, n), np.inf, dtype=np.float64)
-    for lo in range(0, k, chunk_size):
-        block = sources[lo : lo + chunk_size]
-        b = len(block)
-        rows = np.arange(b)
-        dist = out[lo : lo + b]
-        dist[rows, block] = 0.0
-        pending = np.zeros((b, n), dtype=bool)
-        pending[rows, block] = True
-        _delta_stepping_block(csr, dist, pending, delta=delta)
-    return out
-
-
-def multi_source_delta_stepping(
-    csr: CSRGraph,
-    sources,
-    *,
-    delta: float | None = None,
-) -> np.ndarray:
-    """Weighted distance of every node to its *nearest* source — ``(n,)``.
-
-    One delta-stepping sweep seeded at all sources simultaneously (a
-    single block row), the weighted counterpart of the multi-source BFS
-    distance-to-set query.
-    """
-    sources = np.asarray(list(sources), dtype=np.int64)
-    n = csr.n
-    if len(sources) == 0:
-        raise ValueError("need at least one source")
-    if n == 0:
-        raise IndexError("delta-stepping sources on an empty graph")
-    if sources.min() < 0 or sources.max() >= n:
-        raise IndexError(f"delta-stepping source out of range [0, {n})")
-    if np.any(csr.weights < 0):
-        raise ValueError("delta-stepping requires non-negative edge weights")
-    if delta is None:
-        delta = _default_delta(csr)
-    dist = np.full((1, n), np.inf, dtype=np.float64)
-    dist[0, sources] = 0.0
-    pending = np.zeros((1, n), dtype=bool)
-    pending[0, sources] = True
-    _delta_stepping_block(csr, dist, pending, delta=delta)
-    return dist[0]
+        raise ValueError("Dijkstra requires non-negative edge weights")
+    return csgraph.dijkstra(
+        csr.to_scipy(),
+        directed=csr.directed,
+        indices=sources,
+        min_only=min_only,
+    )
 
 
 # ----------------------------------------------------------------------
 # batched weighted Brandes (weighted betweenness dependencies)
 #
-# Distances come from the delta-stepping kernel; the shortest-path DAG
+# Distances come from dijkstra_distances; the shortest-path DAG
 # is recovered arc-parallel ("tight" arcs satisfy dist[tail] + w =
 # dist[head] within SP_TOL). sigma/delta accumulation walks nodes in
 # per-row distance rank order — one vectorized gather per rank handles
@@ -841,13 +683,12 @@ def batched_weighted_dependencies(
     csr: CSRGraph,
     sources: np.ndarray,
     *,
-    delta: float | None = None,
     chunk_size: int | None = None,
 ) -> np.ndarray:
     """Summed *weighted* Brandes dependencies of ``sources`` — ``(n,)``.
 
     The weighted counterpart of :func:`batched_brandes_dependencies`:
-    per source block, distances are solved by the delta-stepping kernel,
+    per source block, distances are solved by :func:`dijkstra_distances`,
     tight (shortest-path DAG) arcs are detected arc-parallel with the
     shared :data:`SP_TOL` tolerance, and sigma/delta accumulate in
     per-row distance rank order with one batched arc gather per rank.
@@ -873,10 +714,9 @@ def batched_weighted_dependencies(
         raise ValueError(
             "weighted betweenness requires strictly positive edge weights"
         )
-    if delta is None:
-        delta = _default_delta(csr)
     if chunk_size is None:
-        chunk_size = _weighted_chunk_size(csr, k)
+        # (b, nnz) tight-arc masks as well as (b, n) blocks stay bounded.
+        chunk_size = max(1, min(k, DENSE_BLOCK_ENTRIES // max(n, csr.nnz, 1)))
     tails = csr.arc_tails()
     heads = csr.indices.astype(np.int64, copy=False)
     weights = csr.weights
@@ -884,9 +724,7 @@ def batched_weighted_dependencies(
         block = sources[lo : lo + chunk_size]
         b = len(block)
         rows = np.arange(b)
-        dist = batched_delta_stepping_distances(
-            csr, block, delta=delta, chunk_size=b
-        )
+        dist = dijkstra_distances(csr, block)
         # Tight-arc masks for the whole block: (b, nnz) booleans.
         d_tail = dist[:, tails]
         d_head = dist[:, heads]

@@ -255,6 +255,8 @@ def maxent_stress_layout(
         x = np.array(initial, dtype=np.float64, copy=True)
         if x.shape != (n, dim):
             raise ValueError(f"initial layout must be ({n}, {dim}), got {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("initial layout must be finite (NaN/inf found)")
     else:
         x = rng.standard_normal((n, dim))
     if csr.nnz == 0:

@@ -8,8 +8,8 @@ The seven measures of Figure 6, selectable by name from the GUI's
 * PLM Community Detection, PLP Community Detection (block labels);
 
 plus two weighted extras (Weighted Betweenness/Closeness Centrality)
-that treat edge weights as distances and run on the batched
-delta-stepping kernels. Every measure routes through the batched kernel
+that treat edge weights as distances and run on scipy's compiled
+multi-source Dijkstra. Every measure routes through the batched kernel
 layer (``docs/KERNELS.md``), so a measure event from the interactive
 pipeline costs block-level matrix sweeps, never per-source Python loops.
 
@@ -153,7 +153,7 @@ MEASURES: dict[str, GraphMeasure] = {
         "PLP Community Detection", _plp, kind="community"
     ),
     # Weighted extras (not in Figure 6): edge weights read as distances,
-    # computed by the batched delta-stepping kernels. On the unit-weight
+    # computed through scipy's compiled Dijkstra. On the unit-weight
     # RINs the paper builds they coincide with the hop measures; weighted
     # RIN variants feed real contact distances through the same entries.
     "Weighted Betweenness Centrality": GraphMeasure(

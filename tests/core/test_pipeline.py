@@ -96,7 +96,7 @@ class TestMeasureSwitch:
         assert not np.allclose(pipeline.scores, degree_scores)
 
     def test_weighted_measure_event(self, pipeline):
-        # The registry's delta-stepping-backed weighted extras are
+        # The registry's weighted extras (compiled Dijkstra) are
         # reachable from the interaction path like any Figure 6 measure.
         timing = pipeline.switch_measure("Weighted Closeness Centrality")
         assert timing.kind is EventKind.MEASURE_SWITCH

@@ -44,6 +44,12 @@ class TestBFS:
         assert dist.tolist() == [0, 1, 2, 3]
         assert parent.tolist() == [-1, 0, 1, 2]
 
+    @pytest.mark.parametrize("source", [-1, 4])
+    def test_bfs_tree_source_out_of_range(self, path4, source):
+        # A negative source must not wrap around to the last node.
+        with pytest.raises(IndexError):
+            bfs_tree(path4, source)
+
     def test_matches_networkx_on_random(self):
         import networkx as nx
 

@@ -21,8 +21,8 @@ from repro.graphkit.centrality import Betweenness, Closeness
 from repro.graphkit.generators import erdos_renyi
 from repro.graphkit.kernels import (
     batched_brandes_dependencies,
-    batched_delta_stepping_distances,
     batched_weighted_dependencies,
+    dijkstra_distances,
 )
 from repro.graphkit.layout import maxent_stress_layout
 from tests.helpers import (
@@ -213,13 +213,18 @@ class TestBlockSizeInvariance:
             assert np.allclose(base, out, atol=1e-12)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_delta_stepping(self, seed):
+    def test_dijkstra_distances(self, seed):
+        # Callers split sources into blocks (Closeness over source_blocks
+        # and threads); stacking the blocks must equal one call.
         csr = random_weighted(40, 0.12, seed).csr()
         sources = np.arange(csr.n)
-        base = batched_delta_stepping_distances(csr, sources)
+        base = dijkstra_distances(csr, sources)
         for chunk in self.CHUNKS:
-            out = batched_delta_stepping_distances(
-                csr, sources, chunk_size=chunk
+            out = np.vstack(
+                [
+                    dijkstra_distances(csr, sources[lo : lo + chunk])
+                    for lo in range(0, csr.n, chunk)
+                ]
             )
             assert np.array_equal(base, out)
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphkit import Graph, bfs_distances
 from repro.graphkit.csr import CSRGraph
@@ -9,11 +11,10 @@ from repro.graphkit.generators import erdos_renyi
 from repro.graphkit.kernels import (
     batched_bfs_distances,
     batched_brandes_dependencies,
-    batched_delta_stepping_distances,
     batched_weighted_dependencies,
     core_numbers,
+    dijkstra_distances,
     expand_arcs,
-    multi_source_delta_stepping,
     pairwise_distances,
     segment_sum,
     sorted_contact_order,
@@ -221,46 +222,81 @@ class TestBatchedBrandes:
             batched_brandes_dependencies(triangle.csr(), np.asarray([9]))
 
 
+@st.composite
+def weighted_graphs(draw):
+    """Random weighted graphs: possibly directed, often disconnected
+    (sparse edge draws over up to 20 nodes), with explicit zero weights."""
+    n = draw(st.integers(1, 20))
+    directed = draw(st.booleans())
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    weights = st.one_of(st.just(0.0), st.floats(0.0, 5.0))
+    arcs = draw(st.dictionaries(pairs, weights, max_size=3 * n))
+    edges = {}
+    for (u, v), w in arcs.items():
+        if u == v:
+            continue
+        key = (u, v) if directed else (min(u, v), max(u, v))
+        edges.setdefault(key, w)
+    g = Graph.from_weighted_edges(
+        n, [(u, v, w) for (u, v), w in edges.items()], directed=directed
+    )
+    return g.csr()
+
+
 class TestDeltaStepping:
+    """Weighted shortest paths (:func:`dijkstra_distances`) against the
+    scalar heap :func:`~repro.graphkit.distance.dijkstra` oracle."""
+
+    @given(csr=weighted_graphs(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_match_heap_dijkstra_oracle(self, csr, data):
+        from repro.graphkit.distance import dijkstra
+
+        sources = np.asarray(
+            data.draw(st.lists(st.integers(0, csr.n - 1), min_size=1, max_size=6))
+        )
+        dist = dijkstra_distances(csr, sources)
+        assert dist.shape == (len(sources), csr.n)
+        for row, s in zip(dist, sources):
+            assert np.array_equal(row, dijkstra(csr, int(s)))
+        nearest = dijkstra_distances(csr, sources, min_only=True)
+        assert np.array_equal(nearest, dist.min(axis=0))
+        # Zero-weight arcs are edges, not "no edge": crossing one never
+        # lengthens a path, so its head is as close as its tail.
+        tails = csr.arc_tails()
+        zero = csr.weights == 0.0
+        assert np.all(dist[:, csr.indices[zero]] <= dist[:, tails[zero]])
+
     @pytest.mark.parametrize("seed", [2, 8, 21])
     def test_matches_dijkstra(self, seed):
         from repro.graphkit.distance import dijkstra
 
         csr = _weighted_csr(seed)
-        dist = batched_delta_stepping_distances(csr, np.arange(csr.n))
+        dist = dijkstra_distances(csr, np.arange(csr.n))
         for s in range(0, csr.n, 5):
             assert np.allclose(dist[s], dijkstra(csr, s), atol=1e-9)
-
-    def test_bucket_width_invariance(self):
-        csr = _weighted_csr(4)
-        base = batched_delta_stepping_distances(csr, np.arange(csr.n))
-        for delta in (0.05, 0.9, 7.0, 1e6):
-            out = batched_delta_stepping_distances(
-                csr, np.arange(csr.n), delta=delta
-            )
-            assert np.allclose(base, out, atol=1e-12)
 
     def test_unit_weights_equal_bfs(self, karate):
         csr = karate.csr()
         hops = batched_bfs_distances(csr, np.arange(csr.n)).astype(float)
         hops[hops < 0] = np.inf
-        dist = batched_delta_stepping_distances(csr, np.arange(csr.n))
+        dist = dijkstra_distances(csr, np.arange(csr.n))
         assert np.array_equal(hops, dist)
 
     def test_unreachable_is_inf(self, disconnected):
-        dist = batched_delta_stepping_distances(disconnected.csr(), np.asarray([0]))
+        dist = dijkstra_distances(disconnected.csr(), np.asarray([0]))
         assert dist[0, 2] == np.inf and dist[0, 1] == 1.0
 
     def test_negative_weight_rejected(self):
         g = Graph.from_weighted_edges(2, [(0, 1, -0.5)])
         with pytest.raises(ValueError):
-            batched_delta_stepping_distances(g.csr(), np.asarray([0]))
+            dijkstra_distances(g.csr(), np.asarray([0]))
 
     def test_multi_source_is_rowwise_min(self):
         csr = _weighted_csr(6)
         seeds = [0, 7, 13]
-        per_source = batched_delta_stepping_distances(csr, np.asarray(seeds))
-        joint = multi_source_delta_stepping(csr, seeds)
+        per_source = dijkstra_distances(csr, np.asarray(seeds))
+        joint = dijkstra_distances(csr, seeds, min_only=True)
         assert np.array_equal(joint, per_source.min(axis=0))
 
 
@@ -309,7 +345,7 @@ class TestKernelValidation:
     def test_empty_source_lists_short_circuit(self):
         csr = self._path()
         assert batched_bfs_distances(csr, np.empty(0)).shape == (0, 3)
-        assert batched_delta_stepping_distances(csr, np.empty(0)).shape == (0, 3)
+        assert dijkstra_distances(csr, np.empty(0)).shape == (0, 3)
         assert batched_brandes_dependencies(csr, np.empty(0)).tolist() == [0, 0, 0]
         assert batched_weighted_dependencies(csr, np.empty(0)).tolist() == [0, 0, 0]
         from repro.graphkit.kernels import batched_brandes_dependencies_directed
@@ -325,12 +361,13 @@ class TestKernelValidation:
             batched_bfs_distances,
             batched_brandes_dependencies,
             batched_brandes_dependencies_directed,
-            batched_delta_stepping_distances,
+            dijkstra_distances,
             batched_weighted_dependencies,
-            multi_source_delta_stepping,
         ):
             with pytest.raises(IndexError):
                 kernel(empty, np.asarray([0]))
+        with pytest.raises(IndexError):
+            dijkstra_distances(empty, [0], min_only=True)
 
     def test_out_of_range_sources_rejected(self):
         from repro.graphkit.kernels import batched_brandes_dependencies_directed
@@ -340,14 +377,16 @@ class TestKernelValidation:
             batched_bfs_distances,
             batched_brandes_dependencies,
             batched_brandes_dependencies_directed,
-            batched_delta_stepping_distances,
+            dijkstra_distances,
             batched_weighted_dependencies,
-            multi_source_delta_stepping,
         ):
             with pytest.raises(IndexError):
                 kernel(csr, np.asarray([3]))
             with pytest.raises(IndexError):
                 kernel(csr, np.asarray([-1]))
+        for bad in (3, -1):
+            with pytest.raises(IndexError):
+                dijkstra_distances(csr, [0, bad], min_only=True)
 
     def test_undirected_brandes_rejects_directed_csr(self):
         cyc = CSRGraph(
@@ -361,33 +400,27 @@ class TestKernelValidation:
         with pytest.raises(NotImplementedError):
             batched_weighted_dependencies(cyc, np.arange(3))
 
-    def test_bucket_width_validated(self):
-        csr = self._path()
-        with pytest.raises(ValueError, match="delta"):
-            batched_delta_stepping_distances(csr, np.arange(3), delta=0.0)
-
     def test_negative_weights_rejected_multi_source(self):
         g = Graph.from_weighted_edges(3, [(0, 1, -1.0), (1, 2, 1.0)])
         with pytest.raises(ValueError):
-            multi_source_delta_stepping(g.csr(), [0])
+            dijkstra_distances(g.csr(), [0], min_only=True)
         with pytest.raises(ValueError):
-            batched_delta_stepping_distances(g.csr(), np.arange(3))
+            dijkstra_distances(g.csr(), np.arange(3))
 
     def test_multi_source_requires_a_source(self):
         with pytest.raises(ValueError):
-            multi_source_delta_stepping(self._path(), [])
+            dijkstra_distances(self._path(), [], min_only=True)
 
-    def test_directed_delta_stepping_transposes_in_arcs(self):
-        # Weighted one-way cycle 0 -> 1 -> 2 -> 0: the relaxation pulls
-        # along *in*-arcs, which a directed CSR materializes by a stable
-        # head-sort transpose (_in_arc_view's directed branch).
+    def test_directed_dijkstra_follows_out_arcs(self):
+        # Weighted one-way cycle 0 -> 1 -> 2 -> 0: paths run along CSR
+        # rows (out-arcs) only, never backwards over an arc.
         cyc = CSRGraph(
             np.array([0, 1, 2, 3], dtype=np.int64),
             np.array([1, 2, 0], dtype=np.int32),
             np.array([1.0, 2.0, 4.0]),
             directed=True,
         )
-        dist = batched_delta_stepping_distances(cyc, np.arange(3))
+        dist = dijkstra_distances(cyc, np.arange(3))
         expected = np.array(
             [[0.0, 1.0, 3.0], [6.0, 0.0, 2.0], [4.0, 5.0, 0.0]]
         )

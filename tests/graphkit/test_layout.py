@@ -95,6 +95,14 @@ class TestMaxentStress:
         with pytest.raises(ValueError):
             maxent_stress_layout(triangle, dim=3, initial=np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial_rejected(self, path4, bad):
+        # One NaN in the warm start used to poison every coordinate.
+        initial = np.zeros((4, 2))
+        initial[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            maxent_stress_layout(path4, dim=2, initial=initial)
+
     def test_no_repulsion_mode(self, karate):
         coords = maxent_stress_layout(karate, dim=3, repulsion_samples=0, seed=1)
         assert np.isfinite(coords).all()

@@ -239,7 +239,7 @@ ENGINE_MATRIX: tuple[EngineCase, ...] = (
             "test_centrality_vs_networkx.py instead"
         },
     ),
-    # -- weighted (delta-stepping) engines --------------------------------
+    # -- weighted (compiled Dijkstra) engines -----------------------------
     EngineCase(
         id="closeness-weighted",
         cls=Closeness,

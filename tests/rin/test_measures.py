@@ -114,7 +114,7 @@ class TestAllMeasuresOnRIN:
 
 
 class TestWeightedExtras:
-    """The registry's delta-stepping-backed weighted measures."""
+    """The registry's weighted measures (compiled Dijkstra distances)."""
 
     WEIGHTED = ("Weighted Betweenness Centrality", "Weighted Closeness Centrality")
 
