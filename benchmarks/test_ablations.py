@@ -4,8 +4,8 @@
    optimization);
 2. incremental edge diffs (DynamicRIN) vs rebuilding the RIN from
    scratch (the paper's add/remove-edges routine vs naive);
-3. per-source parallel decomposition for betweenness (the OpenMP
-   stand-in) vs serial;
+3. the source-block budget of the unpacked Brandes sweep: the 2M-entry
+   memory cap vs the cache budget;
 4. sampled vs exact betweenness (NetworKit's approximation strategy,
    §II: "approximation is often the only feasible technique").
 """
@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from repro.bench import protein_trajectory
+from repro.graphkit import kernels
 from repro.graphkit.centrality import Betweenness, EstimateBetweenness
+from repro.graphkit.kernels import DENSE_BLOCK_ENTRIES
 from repro.graphkit.generators import random_geometric
 from repro.graphkit.layout import maxent_stress_layout
 from repro.rin import DynamicRIN, build_rin
@@ -76,21 +78,25 @@ class TestIncrementalVsRebuild:
         assert diff.total < rin.graph.number_of_edges() / 4
 
 
-class TestBetweennessParallel:
+class TestBetweennessBlockBudget:
+    """Unpacked Brandes sweeps at the old 2M-entry blocks vs the cache budget."""
+
     @pytest.fixture(scope="class")
     def big_graph(self):
         return random_geometric(400, 0.09, seed=2)
 
-    def test_serial(self, benchmark, big_graph):
-        benchmark(lambda: Betweenness(big_graph, threads=1).run())
+    def test_dense_budget(self, benchmark, big_graph, monkeypatch):
+        monkeypatch.setattr(kernels, "CACHE_BLOCK_ENTRIES", DENSE_BLOCK_ENTRIES)
+        benchmark(lambda: Betweenness(big_graph).run())
 
-    def test_threaded(self, benchmark, big_graph):
-        benchmark(lambda: Betweenness(big_graph, threads=2).run())
+    def test_cache_budget(self, benchmark, big_graph):
+        benchmark(lambda: Betweenness(big_graph).run())
 
-    def test_shape_results_identical(self, big_graph):
-        serial = Betweenness(big_graph, threads=1).run().scores_array()
-        threaded = Betweenness(big_graph, threads=2).run().scores_array()
-        assert np.allclose(serial, threaded)
+    def test_shape_results_identical(self, big_graph, monkeypatch):
+        cached = Betweenness(big_graph).run().scores_array()
+        monkeypatch.setattr(kernels, "CACHE_BLOCK_ENTRIES", DENSE_BLOCK_ENTRIES)
+        dense = Betweenness(big_graph).run().scores_array()
+        assert np.allclose(cached, dense, atol=1e-12)
 
 
 class TestApproximationTradeoff:

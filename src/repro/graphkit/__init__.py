@@ -31,7 +31,6 @@ from .distance import (
 )
 from .graph import Graph
 from .incremental import IncrementalMeasures, canonical_components, full_measures
-from .parallel import get_num_threads, set_num_threads
 from .service import (
     ComputeService,
     ComputeSession,
@@ -76,6 +75,4 @@ __all__ = [
     "multi_source_bfs",
     "multi_source_dijkstra",
     "all_pairs_distances",
-    "set_num_threads",
-    "get_num_threads",
 ]

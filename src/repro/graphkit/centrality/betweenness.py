@@ -3,8 +3,8 @@
 The default engine batches *sources*: sigma/delta accumulation runs as
 dense ``(sources, nodes)`` matrix ops per BFS level
 (:func:`~repro.graphkit.kernels.batched_brandes_dependencies`), processing
-sources in memory-bounded blocks distributed over worker threads — one
-SpMM per level for a whole block rather than one sweep per source. With
+sources in cache-sized blocks, one after another — one SpMM per level
+for a whole block rather than one sweep per source. With
 ``weighted=True`` distances come from scipy's compiled multi-source
 Dijkstra and dependencies accumulate in distance rank order
 (:func:`~repro.graphkit.kernels.batched_weighted_dependencies`).
@@ -41,7 +41,7 @@ from ..kernels import (
     batched_weighted_dependencies,
     expand_arcs,
 )
-from ..parallel import ShardedExecutor, parallel_for_chunks
+from ..parallel import ShardedExecutor
 from . import reference
 from .base import Centrality
 
@@ -179,8 +179,6 @@ class Betweenness(Centrality):
         directed CSR, or a symmetric one — where every unordered pair is
         seen in both directions, so scores are exactly twice the
         undirected ones.
-    threads:
-        Worker threads distributing the source blocks (default: all).
     impl:
         ``"vectorized"`` (batched Brandes, default), ``"persource"``
         (superseded per-source level sweep, unweighted only),
@@ -211,7 +209,6 @@ class Betweenness(Centrality):
         normalized: bool = False,
         weighted: bool = False,
         directed: bool = False,
-        threads: int | None = None,
         impl: str = "vectorized",
         nsamples: int = 64,
         seed: int | None = 42,
@@ -221,7 +218,6 @@ class Betweenness(Centrality):
         super().__init__(g, normalized=normalized, impl=impl)
         self._weighted = bool(weighted)
         self._directed = bool(directed)
-        self._threads = threads
         self._nsamples = int(nsamples)
         self._seed = seed
         self._workers = int(workers)
@@ -283,35 +279,18 @@ class Betweenness(Centrality):
 
     def _compute(self, csr: CSRGraph) -> np.ndarray:
         self._check_semantics(csr)
-        n = csr.n
+        sources = np.arange(csr.n)
+        # One kernel call over every source: the kernel walks its source
+        # blocks in order, so the float sums are the same on every run.
         if self._directed:
-            kernel = batched_brandes_dependencies_directed
-        elif self._weighted:
-            kernel = batched_weighted_dependencies
+            return batched_brandes_dependencies_directed(csr, sources)
+        if self._weighted:
+            dependency = batched_weighted_dependencies(csr, sources)
         else:
-
-            def kernel(c, srcs):
-                return batched_brandes_dependencies(
-                    c, srcs, packed=self._packed
-                )
-
-        partials = np.zeros(n, dtype=np.float64)
-        lock_free_slots: list[np.ndarray] = []
-
-        def run_chunk(start: int, stop: int) -> None:
-            # Per-chunk private accumulator (OpenMP reduction idiom) —
-            # avoids write races between chunks; the kernel blocks the
-            # chunk's sources internally to bound dense memory.
-            if stop <= start:
-                return
-            lock_free_slots.append(kernel(csr, np.arange(start, stop)))
-
-        parallel_for_chunks(run_chunk, n, threads=self._threads)
-        for local in lock_free_slots:
-            partials += local
-        if not self._directed:
-            partials /= 2.0  # each unordered pair contributed twice
-        return partials
+            dependency = batched_brandes_dependencies(
+                csr, sources, packed=self._packed
+            )
+        return dependency / 2.0  # each unordered pair contributed twice
 
     def _compute_sampled(self, csr: CSRGraph) -> np.ndarray:
         self._check_semantics(csr)
@@ -342,21 +321,10 @@ class Betweenness(Centrality):
 
     def _compute_persource(self, csr: CSRGraph) -> np.ndarray:
         self._check_semantics(csr)
-        n = csr.n
-        partials = np.zeros(n, dtype=np.float64)
-        lock_free_slots: list[np.ndarray] = []
-
-        def run_chunk(start: int, stop: int) -> None:
-            local = np.zeros(n, dtype=np.float64)
-            for s in range(start, stop):
-                _brandes_source(csr, s, local)
-            lock_free_slots.append(local)
-
-        parallel_for_chunks(run_chunk, n, threads=self._threads)
-        for local in lock_free_slots:
-            partials += local
-        partials /= 2.0
-        return partials
+        dependency = np.zeros(csr.n, dtype=np.float64)
+        for s in range(csr.n):
+            _brandes_source(csr, s, dependency)
+        return dependency / 2.0
 
     def _normalize(self, scores: np.ndarray, csr: CSRGraph) -> np.ndarray:
         n = csr.n

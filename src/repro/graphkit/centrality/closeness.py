@@ -18,7 +18,6 @@ import numpy as np
 
 from ..csr import CSRGraph
 from ..kernels import batched_bfs_distances, dijkstra_distances, source_blocks
-from ..parallel import parallel_for_chunks
 from . import reference
 from .base import Centrality
 
@@ -27,12 +26,14 @@ __all__ = ["Closeness", "HarmonicCloseness", "ApproxCloseness"]
 
 def _block_distances(csr: CSRGraph, lo: int, hi: int, weighted: bool) -> np.ndarray:
     """Distances of the ``[lo, hi)`` source block as a float matrix with
-    ``np.inf`` for unreachable pairs (uniform across both kernels)."""
+    ``0`` for unreachable pairs, so only positive entries contribute
+    (uniform across both kernels)."""
     if weighted:
-        return dijkstra_distances(csr, np.arange(lo, hi))
-    d = batched_bfs_distances(csr, np.arange(lo, hi)).astype(np.float64)
-    d[d < 0] = np.inf
-    return d
+        d = dijkstra_distances(csr, np.arange(lo, hi))
+        d[np.isinf(d)] = 0.0
+        return d
+    d = batched_bfs_distances(csr, np.arange(lo, hi))
+    return np.maximum(d, 0).astype(np.float64)
 
 
 class Closeness(Centrality):
@@ -42,8 +43,8 @@ class Closeness(Centrality):
     synchronous :func:`~repro.graphkit.kernels.batched_bfs_distances`
     kernel — one compiled pass per level for the whole block — or, with
     ``weighted=True``, scipy's compiled Dijkstra via
-    :func:`~repro.graphkit.kernels.dijkstra_distances`; blocks are
-    distributed over worker threads. ``impl="reference"`` runs
+    :func:`~repro.graphkit.kernels.dijkstra_distances`; the source
+    blocks run one after another, in order. ``impl="reference"`` runs
     the textbook one-traversal-per-node loop instead (queue BFS, or heap
     Dijkstra when weighted).
 
@@ -57,8 +58,6 @@ class Closeness(Centrality):
         value is returned.
     weighted:
         Use edge weights as distances (non-negative weights required).
-    threads:
-        Worker threads for the per-block loop.
     """
 
     name = "closeness"
@@ -69,28 +68,21 @@ class Closeness(Centrality):
         *,
         normalized: bool = True,
         weighted: bool = False,
-        threads: int | None = None,
         impl: str = "vectorized",
     ):
         super().__init__(g, normalized=normalized, impl=impl)
         self._weighted = bool(weighted)
-        self._threads = threads
 
     def _compute(self, csr: CSRGraph) -> np.ndarray:
         n = csr.n
         raw = np.zeros(n, dtype=np.float64)
         reach = np.zeros(n, dtype=np.int64)
-
-        def run_chunk(start: int, stop: int) -> None:
-            for lo, hi in source_blocks(start, stop, n):
-                d = _block_distances(csr, lo, hi, self._weighted)
-                reached = np.isfinite(d) & (d > 0)
-                total = np.where(reached, d, 0.0).sum(axis=1)
-                r = reached.sum(axis=1) + 1  # including the source itself
-                reach[lo:hi] = r
-                np.divide(r - 1, total, out=raw[lo:hi], where=total > 0)
-
-        parallel_for_chunks(run_chunk, n, threads=self._threads)
+        for lo, hi in source_blocks(csr, weighted=self._weighted):
+            d = _block_distances(csr, lo, hi, self._weighted)
+            total = d.sum(axis=1)
+            r = np.count_nonzero(d, axis=1) + 1  # including the source itself
+            reach[lo:hi] = r
+            np.divide(r - 1, total, out=raw[lo:hi], where=total > 0)
         self._reach = reach
         return raw
 
@@ -124,25 +116,18 @@ class HarmonicCloseness(Centrality):
         *,
         normalized: bool = True,
         weighted: bool = False,
-        threads: int | None = None,
         impl: str = "vectorized",
     ):
         super().__init__(g, normalized=normalized, impl=impl)
         self._weighted = bool(weighted)
-        self._threads = threads
 
     def _compute(self, csr: CSRGraph) -> np.ndarray:
         n = csr.n
         raw = np.zeros(n, dtype=np.float64)
-
-        def run_chunk(start: int, stop: int) -> None:
-            for lo, hi in source_blocks(start, stop, n):
-                d = _block_distances(csr, lo, hi, self._weighted)
-                positive = np.isfinite(d) & (d > 0)
-                inv = np.where(positive, 1.0 / np.where(positive, d, 1.0), 0.0)
-                raw[lo:hi] = inv.sum(axis=1)
-
-        parallel_for_chunks(run_chunk, n, threads=self._threads)
+        for lo, hi in source_blocks(csr, weighted=self._weighted):
+            d = _block_distances(csr, lo, hi, self._weighted)
+            inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
+            raw[lo:hi] = inv.sum(axis=1)
         return raw
 
     def _compute_reference(self, csr: CSRGraph) -> np.ndarray:

@@ -22,8 +22,7 @@ import numpy as np
 
 from .csr import CSRGraph
 from .graph import Graph
-from .kernels import batched_bfs_distances, dijkstra_distances
-from .parallel import parallel_for_chunks
+from .kernels import batched_bfs_distances, dijkstra_distances, source_blocks
 
 __all__ = [
     "bfs_distances",
@@ -128,35 +127,29 @@ def all_pairs_distances(
     g: Graph | CSRGraph,
     *,
     weighted: bool = False,
-    threads: int | None = None,
     packed: bool | None = None,
 ) -> np.ndarray:
     """All-pairs shortest paths as an ``(n, n)`` matrix.
 
     Unweighted distances run the batched level-synchronous BFS kernel over
-    a static block decomposition of the sources (one sparse-dense product
-    per level per block; above the bit-packing threshold the frontier is
-    carried as uint64 bitsets — ``packed`` forces the choice). Weighted
-    distances are one call into scipy's compiled Dijkstra from every
-    source. The ``(n, n)`` result is the only dense block it allocates,
-    and the call holds the GIL, so ``threads`` does not apply.
-    Unreachable pairs are ``inf`` in the returned float matrix.
+    the :func:`~repro.graphkit.kernels.source_blocks` of the graph, in
+    order (one sparse-dense product per level per block; above the
+    bit-packing threshold the frontier is carried as uint64 bitsets —
+    ``packed`` forces the choice). Weighted distances are one call into
+    scipy's compiled Dijkstra from every source; the ``(n, n)`` result is
+    the only dense block it allocates. Unreachable pairs are ``inf`` in
+    the returned float matrix.
     """
     csr = _as_csr(g)
     n = csr.n
     if weighted:
         return dijkstra_distances(csr, np.arange(n))
     out = np.full((n, n), np.inf)
-
-    def run_chunk(start: int, stop: int) -> None:
-        if stop <= start:
-            return
-        d = batched_bfs_distances(csr, np.arange(start, stop), packed=packed)
-        block = out[start:stop]
+    for lo, hi in source_blocks(csr):
+        d = batched_bfs_distances(csr, np.arange(lo, hi), packed=packed)
+        block = out[lo:hi]
         reached = d >= 0
         block[reached] = d[reached]
-
-    parallel_for_chunks(run_chunk, n, threads=threads)
     return out
 
 

@@ -43,6 +43,7 @@ from .csr import CSRGraph
 
 __all__ = [
     "DENSE_BLOCK_ENTRIES",
+    "CACHE_BLOCK_ENTRIES",
     "SP_TOL",
     "source_blocks",
     "expand_arcs",
@@ -73,22 +74,48 @@ UNREACHED = -1
 #: cannot drift between engines.
 SP_TOL = 1e-9
 
-#: Target entry count for dense (sources, n) blocks — the single memory
-#: cap shared by the batched BFS kernel and its block-iterating callers.
+#: Memory cap, in entries, of dense (sources, n) blocks in the weighted
+#: sweeps (Dijkstra rows, the weighted Brandes rank walk) and the
+#: bit-packed frontiers.
 DENSE_BLOCK_ENTRIES = 2_000_000
 
+#: Cache budget, in entries, of dense (sources, n) blocks in the unpacked
+#: unweighted sweeps (the SpMM BFS and Brandes kernels): small enough
+#: that a block's matrices stay cache-resident between the per-level
+#: products.
+CACHE_BLOCK_ENTRIES = 2**15
 
-def source_blocks(start: int, stop: int, n: int):
-    """Sub-ranges of ``[start, stop)`` whose dense ``(block, n)`` matrix
-    stays around :data:`DENSE_BLOCK_ENTRIES` entries.
 
-    Callers that consume per-source reductions of
-    :func:`batched_bfs_distances` iterate these blocks so peak memory is
-    O(block × n), independent of how many sources they process.
+def _block_rows(n: int, packed: bool) -> int:
+    """Sources per dense ``(block, n)`` block of an unweighted sweep.
+
+    Bit-packed blocks hold at most one ``np.uint64`` word (64 sources)
+    per node row: wider blocks add words to every frontier row and
+    sweep slower per source.
     """
-    block = max(1, DENSE_BLOCK_ENTRIES // max(n, 1))
-    for lo in range(start, stop, block):
-        yield lo, min(lo + block, stop)
+    if packed:
+        return max(1, min(64, DENSE_BLOCK_ENTRIES // max(n, 1)))
+    return max(1, CACHE_BLOCK_ENTRIES // max(n, 1))
+
+
+def source_blocks(csr: CSRGraph, *, weighted: bool = False):
+    """Consecutive ``[lo, hi)`` source ranges covering ``range(csr.n)``.
+
+    Blocks are sized for the sweep that consumes them: the default
+    blocks of :func:`batched_bfs_distances` on ``csr`` (SpMM or
+    bit-packed frontiers), or :data:`DENSE_BLOCK_ENTRIES` entries of
+    :func:`dijkstra_distances` rows (``weighted=True``), where each call
+    has a fixed cost to amortise. Callers that consume per-source
+    reductions of a sweep iterate these blocks in order, so peak memory
+    is O(block × n) however many sources they process.
+    """
+    n = csr.n
+    if weighted:
+        block = max(1, DENSE_BLOCK_ENTRIES // max(n, 1))
+    else:
+        block = _block_rows(n, _use_packed(csr, None))
+    for lo in range(0, n, block):
+        yield lo, min(lo + block, n)
 
 
 # ----------------------------------------------------------------------
@@ -334,9 +361,10 @@ def batched_bfs_distances(
     the choice (``True`` requires an undirected CSR). Both engines
     produce identical distance matrices.
 
-    Sources are processed in chunks of ``chunk_size`` (default sized to
-    keep the dense frontier block around ~2M entries) so memory stays
-    bounded on large graphs.
+    Sources are processed in chunks of ``chunk_size`` (default: blocks
+    of :data:`CACHE_BLOCK_ENTRIES` entries for the SpMM frontier, at most
+    64 sources under the :data:`DENSE_BLOCK_ENTRIES` cap for bit-packed
+    ones) so memory stays bounded on large graphs.
     """
     sources = np.asarray(sources, dtype=np.int64)
     n = csr.n
@@ -347,9 +375,9 @@ def batched_bfs_distances(
         raise IndexError("BFS sources on an empty graph")
     if sources.min() < 0 or sources.max() >= n:
         raise IndexError(f"BFS source out of range [0, {n})")
-    if chunk_size is None:
-        chunk_size = max(1, min(k, DENSE_BLOCK_ENTRIES // max(n, 1)))
     use_packed = _use_packed(csr, packed)
+    if chunk_size is None:
+        chunk_size = _block_rows(n, use_packed)
     pattern = None if use_packed else csr.to_scipy_pattern()
     dist = np.full((k, n), UNREACHED, dtype=np.int32)
     for lo in range(0, k, chunk_size):
@@ -503,10 +531,11 @@ def batched_brandes_dependencies(
     sweeps. Each ordered source contributes its full dependency vector
     (the caller halves for the undirected convention).
 
-    Sources are processed in chunks of ``chunk_size`` (default sized to
-    keep each dense block near :data:`DENSE_BLOCK_ENTRIES` entries); the
-    result is independent of the chunking — a property the differential
-    suite pins.
+    Sources are processed in chunks of ``chunk_size`` (default: blocks
+    of :data:`CACHE_BLOCK_ENTRIES` entries; when packed, at most 64
+    sources under the :data:`DENSE_BLOCK_ENTRIES` cap); the result is
+    independent of the chunking — a property the differential suite
+    pins.
 
     ``packed`` selects the bit-packed frontier engine (auto above
     :data:`BITPACK_THRESHOLD` nodes when ``None``): level discovery runs
@@ -532,9 +561,9 @@ def batched_brandes_dependencies(
             "batched_brandes_dependencies requires an undirected CSR; "
             "use batched_brandes_dependencies_directed"
         )
-    if chunk_size is None:
-        chunk_size = max(1, min(k, DENSE_BLOCK_ENTRIES // max(n, 1)))
     use_packed = _use_packed(csr, packed)
+    if chunk_size is None:
+        chunk_size = _block_rows(n, use_packed)
     if use_packed:
         for lo in range(0, k, chunk_size):
             _brandes_block_packed(csr, sources[lo : lo + chunk_size], dependency)
@@ -587,7 +616,8 @@ def batched_brandes_dependencies_directed(
     contributes its dependency over ordered pairs exactly once, so the
     caller does **not** halve. On a symmetric CSR the transpose is the
     pattern itself and the result equals the undirected kernel's (every
-    unordered pair counted twice).
+    unordered pair counted twice). Default blocks hold
+    :data:`CACHE_BLOCK_ENTRIES` entries.
     """
     sources = np.asarray(sources, dtype=np.int64)
     n = csr.n
@@ -600,7 +630,7 @@ def batched_brandes_dependencies_directed(
     if sources.min() < 0 or sources.max() >= n:
         raise IndexError(f"Brandes source out of range [0, {n})")
     if chunk_size is None:
-        chunk_size = max(1, min(k, DENSE_BLOCK_ENTRIES // max(n, 1)))
+        chunk_size = _block_rows(n, False)
     pattern = csr.to_scipy_pattern()
     pattern_t = pattern.T.tocsr() if csr.directed else pattern
     for lo in range(0, k, chunk_size):

@@ -119,7 +119,7 @@ def _khop_pairs_vectorized(
     out_t: list[np.ndarray] = []
     out_h: list[np.ndarray] = []
     out_d: list[np.ndarray] = []
-    for lo, hi in source_blocks(0, n, n):
+    for lo, hi in source_blocks(csr):
         dist = batched_bfs_distances(csr, np.arange(lo, hi), max_depth=k)
         t, h = np.nonzero((dist >= 2) & (dist <= k))
         if len(t) == 0:

@@ -1,93 +1,43 @@
-"""Shared-memory parallel utilities — the OpenMP stand-in and the
-process-pool execution subsystem.
+"""Process-pool execution subsystem over a shared-memory data plane.
 
-Two layers live here:
+The scan and pipeline workloads are Python-loop-bound, so concurrent
+cloud sessions need to escape the GIL entirely. :class:`ShardedExecutor`
+owns a process pool plus a shared-memory data plane: frozen input arrays
+(CSR arc arrays, condensed distance matrices, trajectory coordinates)
+are placed in :mod:`multiprocessing.shared_memory` **once** via
+:meth:`share <ShardedExecutor.share>`, workers attach zero-copy by
+segment name, and shard payloads/results travel through the (small)
+pickle channel. ``workers=0`` is the serial in-process fallback
+executing the *same* shard functions on the *same* arrays, which is what
+makes sharded results bit-identical to serial ones.
+:class:`SharedCancelFlag` is the cross-process analog of the async
+pipeline's generation counter: one shared byte the parent raises and
+in-flight workers poll. :func:`chunk_ranges` is the deterministic block
+decomposition the scan shards use.
 
-* **Thread level** (:func:`parallel_map` / :func:`parallel_for_chunks`) —
-  NetworKit parallelizes per-source loops (Brandes, closeness BFS sweeps,
-  Louvain move phases) with OpenMP ``parallel for``. In pure Python we
-  expose the same decomposition: the iteration space is split into
-  deterministic contiguous chunks (mirroring OpenMP static scheduling and
-  the mpi4py block decomposition from the HPC guides) and the chunks are
-  executed on a thread pool. NumPy kernels release the GIL inside
-  vectorized calls, so thread-level parallelism helps the array-heavy
-  per-source kernels.
-
-* **Process level** (:class:`ShardedExecutor`) — the scan and pipeline
-  workloads are Python-loop-bound, so concurrent cloud sessions need to
-  escape the GIL entirely. The executor owns a process pool plus a
-  shared-memory data plane: frozen input arrays (CSR arc arrays,
-  condensed distance matrices, trajectory coordinates) are placed in
-  :mod:`multiprocessing.shared_memory` **once** via :meth:`share
-  <ShardedExecutor.share>`, workers attach zero-copy by segment name, and
-  shard payloads/results travel through the (small) pickle channel.
-  ``workers=0`` is the serial in-process fallback executing the *same*
-  shard functions on the *same* arrays, which is what makes sharded
-  results bit-identical to serial ones. :class:`SharedCancelFlag` is the
-  cross-process analog of the async pipeline's generation counter: one
-  shared byte the parent raises and in-flight workers poll.
+The in-process shortest-path sweeps (closeness, betweenness, APSP) run
+serially over cache-sized source blocks (see
+:data:`~repro.graphkit.kernels.CACHE_BLOCK_ENTRIES`); they have no thread
+layer.
 """
 
 from __future__ import annotations
 
 import os
 import weakref
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from multiprocessing import get_context, shared_memory
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "effective_threads",
     "chunk_ranges",
-    "parallel_map",
-    "parallel_for_chunks",
-    "set_num_threads",
-    "get_num_threads",
     "effective_workers",
     "SharedDataset",
     "SharedCancelFlag",
     "ShardedExecutor",
 ]
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-_num_threads: int | None = None
-
-
-def effective_threads() -> int:
-    """Number of worker threads to use by default.
-
-    Resolution order: :func:`set_num_threads` value, ``REPRO_THREADS``
-    environment variable, then ``os.cpu_count()``.
-    """
-    if _num_threads is not None:
-        return _num_threads
-    env = os.environ.get("REPRO_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
-
-
-def set_num_threads(n: int | None) -> None:
-    """Set (or with ``None`` reset) the global worker-thread count.
-
-    Mirrors ``networkit.setNumberOfThreads``.
-    """
-    global _num_threads
-    if n is not None and n < 1:
-        raise ValueError(f"thread count must be >= 1, got {n}")
-    _num_threads = n
-
-
-def get_num_threads() -> int:
-    """Current effective worker-thread count (NetworKit naming analog)."""
-    return effective_threads()
 
 
 def chunk_ranges(total: int, chunks: int) -> list[tuple[int, int]]:
@@ -112,58 +62,23 @@ def chunk_ranges(total: int, chunks: int) -> list[tuple[int, int]]:
     return spans
 
 
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    *,
-    threads: int | None = None,
-) -> list[R]:
-    """Apply ``fn`` to every item, preserving order.
-
-    Serial when ``threads == 1`` (no pool overhead); otherwise executed on a
-    thread pool. ``fn`` must be thread-safe (the per-source centrality
-    kernels write to pre-allocated disjoint output slots).
-    """
-    threads = effective_threads() if threads is None else max(1, threads)
-    if threads == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def parallel_for_chunks(
-    fn: Callable[[int, int], None],
-    total: int,
-    *,
-    threads: int | None = None,
-) -> None:
-    """Run ``fn(start, stop)`` over a static block decomposition of ``total``.
-
-    The callable is expected to write results into pre-allocated shared
-    arrays (disjoint slices per chunk), matching the OpenMP
-    ``parallel for`` + shared-output idiom.
-    """
-    threads = effective_threads() if threads is None else max(1, threads)
-    spans = chunk_ranges(total, threads)
-    if threads == 1 or len(spans) <= 1:
-        for start, stop in spans:
-            fn(start, stop)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda span: fn(*span), spans))
-
-
 # ----------------------------------------------------------------------
 # process-pool execution subsystem
 # ----------------------------------------------------------------------
 def effective_workers() -> int:
-    """Default process-pool width: ``REPRO_WORKERS`` env var, else cores."""
+    """Default process-pool width: ``REPRO_WORKERS`` env var, else cores.
+
+    A value that is not an integer raises :class:`ValueError` naming the
+    variable instead of silently falling back to the core count.
+    """
     env = os.environ.get("REPRO_WORKERS")
     if env:
         try:
             return max(0, int(env))
         except ValueError:
-            pass
+            raise ValueError(
+                f"REPRO_WORKERS must be an integer, got {env!r}"
+            ) from None
     return max(1, os.cpu_count() or 1)
 
 

@@ -106,14 +106,6 @@ class TestWeightedAPSP:
         for s in range(25):
             assert np.allclose(mat[s], dijkstra(g, s), atol=1e-9)
 
-    def test_serial_equals_parallel_weighted(self):
-        g = Graph.from_weighted_edges(
-            5, [(0, 1, 1.5), (1, 2, 0.5), (2, 3, 2.5), (3, 4, 1.0)]
-        )
-        serial = all_pairs_distances(g, weighted=True, threads=1)
-        parallel = all_pairs_distances(g, weighted=True, threads=4)
-        assert np.array_equal(serial, parallel)
-
 
 class TestEffectiveDiameter:
     def test_path_graph(self):

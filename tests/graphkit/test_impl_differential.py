@@ -16,11 +16,12 @@ result.
 import numpy as np
 import pytest
 
-from repro.graphkit import Graph, core_decomposition
-from repro.graphkit.centrality import Betweenness, Closeness
+from repro.graphkit import Graph, all_pairs_distances, core_decomposition, kernels
+from repro.graphkit.centrality import Betweenness, Closeness, HarmonicCloseness
 from repro.graphkit.generators import erdos_renyi
 from repro.graphkit.kernels import (
     batched_brandes_dependencies,
+    batched_brandes_dependencies_directed,
     batched_weighted_dependencies,
     dijkstra_distances,
 )
@@ -214,8 +215,8 @@ class TestBlockSizeInvariance:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_dijkstra_distances(self, seed):
-        # Callers split sources into blocks (Closeness over source_blocks
-        # and threads); stacking the blocks must equal one call.
+        # Callers split sources into blocks (Closeness over
+        # source_blocks); stacking the blocks must equal one call.
         csr = random_weighted(40, 0.12, seed).csr()
         sources = np.arange(csr.n)
         base = dijkstra_distances(csr, sources)
@@ -237,12 +238,71 @@ class TestBlockSizeInvariance:
             out = batched_weighted_dependencies(csr, sources, chunk_size=chunk)
             assert np.allclose(base, out, atol=1e-12)
 
-    def test_thread_count_invariance(self, karate):
-        # Thread-level chunking composes with kernel-level blocking; the
-        # combination must stay invariant too.
-        base = Betweenness(karate, threads=1).run().scores_array()
-        for threads in (2, 5):
-            out = Betweenness(karate, threads=threads).run().scores_array()
+    # Block budgets giving 1, 3 and 7 sources per block on the 40-node
+    # graphs below; the baseline runs every source in one block. Both
+    # budgets are patched, so unweighted (cache budget) and weighted
+    # (dense budget) sweeps are blocked alike.
+    BUDGETS = [1, 3 * 40, 7 * 40]
+
+    def _at_budgets(self, monkeypatch, run):
+        def patch(entries):
+            monkeypatch.setattr(kernels, "CACHE_BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(kernels, "DENSE_BLOCK_ENTRIES", entries)
+
+        patch(10**9)
+        base = run()
+        outs = []
+        for budget in self.BUDGETS:
+            patch(budget)
+            outs.append(run())
+        return base, outs
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["hop", "weighted"])
+    @pytest.mark.parametrize("cls", [Closeness, HarmonicCloseness])
+    def test_closeness_block_budget(self, monkeypatch, cls, weighted):
+        g = random_weighted(40, 0.08, 7)
+        base, outs = self._at_budgets(
+            monkeypatch, lambda: cls(g, weighted=weighted).run().scores_array()
+        )
+        for out in outs:
+            assert np.array_equal(base, out)
+
+    def test_all_pairs_distances_block_budget(self, monkeypatch):
+        g = random_weighted(40, 0.08, 7)
+        base, outs = self._at_budgets(monkeypatch, lambda: all_pairs_distances(g))
+        for out in outs:
+            assert np.array_equal(base, out)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_brandes_block_budget(self, monkeypatch, seed):
+        csr = erdos_renyi(40, 0.12, seed=seed).csr()
+        base, outs = self._at_budgets(
+            monkeypatch,
+            lambda: batched_brandes_dependencies(csr, np.arange(csr.n)),
+        )
+        for out in outs:
+            assert np.allclose(base, out, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_directed_brandes_block_budget(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        g = Graph(40, directed=True)
+        for u, v in zip(*np.nonzero(rng.random((40, 40)) < 0.06)):
+            if u != v:
+                g.add_edge(int(u), int(v))
+        csr = g.csr()
+        base, outs = self._at_budgets(
+            monkeypatch,
+            lambda: batched_brandes_dependencies_directed(csr, np.arange(40)),
+        )
+        for out in outs:
+            assert np.allclose(base, out, atol=1e-12)
+
+    def test_betweenness_block_budget(self, monkeypatch, karate):
+        base, outs = self._at_budgets(
+            monkeypatch, lambda: Betweenness(karate).run().scores_array()
+        )
+        for out in outs:
             assert np.allclose(base, out, atol=1e-12)
 
 

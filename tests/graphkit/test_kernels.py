@@ -9,6 +9,9 @@ from repro.graphkit import Graph, bfs_distances
 from repro.graphkit.csr import CSRGraph
 from repro.graphkit.generators import erdos_renyi
 from repro.graphkit.kernels import (
+    BITPACK_THRESHOLD,
+    CACHE_BLOCK_ENTRIES,
+    DENSE_BLOCK_ENTRIES,
     batched_bfs_distances,
     batched_brandes_dependencies,
     batched_weighted_dependencies,
@@ -17,6 +20,7 @@ from repro.graphkit.kernels import (
     expand_arcs,
     pairwise_distances,
     segment_sum,
+    source_blocks,
     sorted_contact_order,
     spmv,
     spmv_transpose,
@@ -130,6 +134,46 @@ class TestBatchedBFS:
     def test_out_of_range_source(self, triangle):
         with pytest.raises(IndexError):
             batched_bfs_distances(triangle.csr(), np.asarray([5]))
+
+
+class TestSourceBlocks:
+    """Block sizes follow the sweep: cache budget, memory cap, one word."""
+
+    @staticmethod
+    def _edgeless(n: int) -> CSRGraph:
+        return CSRGraph(
+            np.zeros(n + 1, dtype=np.int64),
+            np.empty(0, dtype=np.int32),
+            np.empty(0),
+        )
+
+    @staticmethod
+    def _sizes(blocks) -> list[int]:
+        blocks = list(blocks)
+        starts = [lo for lo, _ in blocks]
+        stops = [hi for _, hi in blocks]
+        assert starts[1:] == stops[:-1]  # contiguous, in order
+        return [hi - lo for lo, hi in blocks]
+
+    def test_unpacked_blocks_use_cache_budget(self):
+        csr = self._edgeless(1000)
+        sizes = self._sizes(source_blocks(csr))
+        assert sum(sizes) == 1000
+        assert max(sizes) == CACHE_BLOCK_ENTRIES // 1000
+
+    def test_weighted_blocks_use_memory_cap(self):
+        csr = self._edgeless(1000)
+        assert list(source_blocks(csr, weighted=True)) == [(0, 1000)]
+        big = self._edgeless(4000)
+        sizes = self._sizes(source_blocks(big, weighted=True))
+        assert sum(sizes) == 4000
+        assert max(sizes) == DENSE_BLOCK_ENTRIES // 4000 < 4000
+
+    def test_packed_blocks_hold_one_word(self):
+        csr = self._edgeless(BITPACK_THRESHOLD)
+        sizes = self._sizes(source_blocks(csr))
+        assert sum(sizes) == BITPACK_THRESHOLD
+        assert max(sizes) == 64
 
 
 class TestCoordinateKernels:

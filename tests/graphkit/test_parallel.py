@@ -7,19 +7,8 @@ from repro.graphkit.parallel import (
     ShardedExecutor,
     SharedCancelFlag,
     chunk_ranges,
-    effective_threads,
     effective_workers,
-    get_num_threads,
-    parallel_for_chunks,
-    parallel_map,
-    set_num_threads,
 )
-
-
-@pytest.fixture(autouse=True)
-def reset_threads():
-    yield
-    set_num_threads(None)
 
 
 class TestChunkRanges:
@@ -52,70 +41,6 @@ class TestChunkRanges:
             chunk_ranges(-1, 2)
         with pytest.raises(ValueError):
             chunk_ranges(5, 0)
-
-
-class TestParallelMap:
-    def test_preserves_order(self):
-        out = parallel_map(lambda x: x * x, list(range(20)), threads=4)
-        assert out == [x * x for x in range(20)]
-
-    def test_serial_path(self):
-        out = parallel_map(lambda x: x + 1, [1, 2, 3], threads=1)
-        assert out == [2, 3, 4]
-
-    def test_empty(self):
-        assert parallel_map(lambda x: x, [], threads=4) == []
-
-
-class TestParallelForChunks:
-    def test_writes_disjoint_slices(self):
-        out = np.zeros(100)
-
-        def fill(start, stop):
-            out[start:stop] = np.arange(start, stop)
-
-        parallel_for_chunks(fill, 100, threads=4)
-        assert np.array_equal(out, np.arange(100.0))
-
-    def test_serial_equals_parallel(self):
-        a = np.zeros(50)
-        b = np.zeros(50)
-
-        def make(target):
-            def fn(start, stop):
-                target[start:stop] = np.arange(start, stop) ** 2
-
-            return fn
-
-        parallel_for_chunks(make(a), 50, threads=1)
-        parallel_for_chunks(make(b), 50, threads=3)
-        assert np.array_equal(a, b)
-
-
-class TestThreadConfig:
-    def test_set_and_get(self):
-        set_num_threads(3)
-        assert get_num_threads() == 3
-        assert effective_threads() == 3
-
-    def test_reset(self):
-        set_num_threads(2)
-        set_num_threads(None)
-        assert effective_threads() >= 1
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            set_num_threads(0)
-
-    def test_env_var(self, monkeypatch):
-        set_num_threads(None)
-        monkeypatch.setenv("REPRO_THREADS", "7")
-        assert effective_threads() == 7
-
-    def test_env_var_garbage_ignored(self, monkeypatch):
-        set_num_threads(None)
-        monkeypatch.setenv("REPRO_THREADS", "lots")
-        assert effective_threads() >= 1
 
 
 def _sum_shard(payload, arrays):
@@ -187,7 +112,8 @@ class TestShardedExecutor:
         monkeypatch.setenv("REPRO_WORKERS", "5")
         assert effective_workers() == 5
         monkeypatch.setenv("REPRO_WORKERS", "junk")
-        assert effective_workers() >= 1
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            effective_workers()
 
 
 class TestSharedCancelFlag:
