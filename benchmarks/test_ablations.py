@@ -7,7 +7,9 @@
 3. the source-block budget of the unpacked Brandes sweep: the 2M-entry
    memory cap vs the cache budget;
 4. sampled vs exact betweenness (NetworKit's approximation strategy,
-   §II: "approximation is often the only feasible technique").
+   §II: "approximation is often the only feasible technique");
+5. the Maxent-Stress entropy term at protein scale: exact dense sweeps
+   vs the sampled arc-list estimator.
 """
 
 import numpy as np
@@ -18,7 +20,7 @@ from repro.graphkit import kernels
 from repro.graphkit.centrality import Betweenness, EstimateBetweenness
 from repro.graphkit.kernels import DENSE_BLOCK_ENTRIES
 from repro.graphkit.generators import random_geometric
-from repro.graphkit.layout import maxent_stress_layout
+from repro.graphkit.layout import maxent_stress_layout, maxent_stress_value
 from repro.rin import DynamicRIN, build_rin
 
 
@@ -128,3 +130,36 @@ class TestApproximationTradeoff:
             graph, nsamples=graph.number_of_nodes(), seed=1
         ).run().scores_array()
         assert np.allclose(full, exact)
+
+
+class TestLayoutRepulsionEngine:
+    """A warm A3D solve (the frame-switch layout) on both entropy engines."""
+
+    @pytest.fixture(scope="class")
+    def warm_case(self, a3d_traj):
+        rin = DynamicRIN(a3d_traj, frame=0, cutoff=4.5)
+        cold = maxent_stress_layout(rin.graph, dim=3, seed=1)
+        rin.set_state(frame=1)
+        return rin.csr, cold
+
+    @staticmethod
+    def _solve(case, impl):
+        csr, cold = case
+        return maxent_stress_layout(csr, dim=3, seed=1, initial=cold, impl=impl)
+
+    def test_exact_repulsion(self, benchmark, warm_case):
+        coords = benchmark(lambda: self._solve(warm_case, "exact"))
+        assert np.isfinite(coords).all()
+
+    def test_sampled_repulsion(self, benchmark, warm_case):
+        coords = benchmark(lambda: self._solve(warm_case, "sampled"))
+        assert np.isfinite(coords).all()
+
+    def test_shape_exact_stress_within_ten_percent(self, warm_case):
+        """Summing the entropy term exactly must not cost layout quality."""
+        csr = warm_case[0]
+        exact, sampled = (
+            maxent_stress_value(csr, self._solve(warm_case, impl))
+            for impl in ("exact", "sampled")
+        )
+        assert exact <= 1.10 * sampled

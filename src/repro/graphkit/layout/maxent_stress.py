@@ -11,12 +11,22 @@ switch (Listing 1: ``nk.viz.MaxentStress(G, 3, 3)``). The model minimizes
 where ``S`` contains node pairs with known target distances (graph
 neighbourhoods up to ``k`` hops) and the entropy term keeps unknown pairs
 apart. We use the local iteration of Gansner et al. with geometric
-α-annealing, fully vectorized over arcs. The entropy gradient has two
-engines: sampled repulsion (O(n·q) per sweep; the historical default) and
-a Barnes-Hut octree (:mod:`~repro.graphkit.layout.bhtree`, O(n log n) per
-sweep over *all* unknown pairs — the analog of NetworKit's
-well-separated pair decomposition); ``impl="auto"`` switches to the tree
-at :data:`BARNES_HUT_THRESHOLD` nodes.
+α-annealing. The entropy gradient has three engines:
+
+- exact: each sweep runs in dense ``(n, n)`` form and sums the entropy
+  term over *all* unknown pairs — a dozen whole-matrix calls per sweep,
+  the cheapest engine at protein scale, where the arc-list sweeps are
+  bound by interpreter overhead rather than FLOPs;
+- sampled: O(n·q) arc-list sweeps that estimate the entropy term from
+  ``q`` random pairs per node;
+- Barnes-Hut: arc-list sweeps with an octree
+  (:mod:`~repro.graphkit.layout.bhtree`, O(n log n) per sweep over all
+  unknown pairs — the analog of NetworKit's well-separated pair
+  decomposition).
+
+``impl="auto"`` picks exact while ``n * n`` fits the cache budget
+:data:`~repro.graphkit.kernels.CACHE_BLOCK_ENTRIES`, sampled below
+:data:`BARNES_HUT_THRESHOLD` nodes, and the tree from there up.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ import numpy as np
 
 from ..csr import CSRGraph
 from ..graph import Graph
-from ..kernels import batched_bfs_distances, source_blocks
+from ..kernels import CACHE_BLOCK_ENTRIES, batched_bfs_distances, source_blocks
 from .bhtree import BarnesHutTree
 
 __all__ = [
@@ -47,9 +57,13 @@ BARNES_HUT_THRESHOLD = 4096
 #: ``"sampled"`` is the canonical name of the vectorized sampled-repulsion
 #: engine; ``"vectorized"`` is its historical alias (same code path,
 #: bit-identical). ``"barnes_hut"`` replaces sampling with theta-gated
-#: tree-approximated repulsion over *all* unknown pairs; ``"auto"`` picks
-#: by node count (:data:`BARNES_HUT_THRESHOLD`).
-_IMPLEMENTATIONS = ("auto", "barnes_hut", "sampled", "vectorized", "reference")
+#: tree-approximated repulsion over *all* unknown pairs; ``"exact"`` sums
+#: that repulsion exactly in dense ``(n, n)`` sweeps. ``"auto"`` picks by
+#: node count: exact while ``n * n <= CACHE_BLOCK_ENTRIES``, then sampled,
+#: then Barnes-Hut from :data:`BARNES_HUT_THRESHOLD` up.
+_IMPLEMENTATIONS = (
+    "auto", "exact", "barnes_hut", "sampled", "vectorized", "reference",
+)
 
 # Per-sweep displacement cap for the Barnes-Hut engine, in units of the
 # layout scale (mean target distance). Large enough that legitimate
@@ -62,6 +76,8 @@ def _resolve_impl(impl: str, n: int) -> str:
     if impl not in _IMPLEMENTATIONS:
         raise ValueError(f"impl must be one of {_IMPLEMENTATIONS}, got {impl!r}")
     if impl == "auto":
+        if n * n <= CACHE_BLOCK_ENTRIES:
+            return "exact"
         return "barnes_hut" if n >= BARNES_HUT_THRESHOLD else "sampled"
     if impl == "vectorized":
         return "sampled"
@@ -179,6 +195,56 @@ def _known_pairs(
     return np.concatenate(tails), np.concatenate(heads), np.concatenate(dists)
 
 
+def _dense_sweep(
+    n: int,
+    tails: np.ndarray,
+    heads: np.ndarray,
+    w: np.ndarray,
+    d_target: np.ndarray,
+    rho: np.ndarray,
+    repulsion: bool,
+) -> Callable[[np.ndarray, float], np.ndarray]:
+    """The ``"exact"`` engine: one local-iteration sweep in dense form.
+
+    The arc list folds into ``(n, n)`` matrices once per solve: ``W``
+    (arc weights), ``WD`` (weight × target distance) and ``U`` (the
+    unknown-pair mask: one minus the arc count, zero diagonal). With
+    ``C = WD / r + a·U / r²`` the arc-list update
+    ``ρ_i x_i ← Σ_j W_ij x_j + Σ_j C_ij (x_i - x_j)`` becomes
+    ``(rowsum(C)·x - (C - W) @ x) / ρ`` — the same update the arc-list
+    engines make, with the entropy term summed over every unknown pair
+    instead of sampled. Squared distances come from the Gram identity,
+    clamped at ``_EPS²`` like the arc-list distances are at ``_EPS``.
+    Nothing is drawn from an rng.
+    """
+    flat = tails * n + heads
+    W = np.bincount(flat, weights=w, minlength=n * n).reshape(n, n)
+    # Self-loop arcs pull nothing (x_i - x_i = 0); zeroing their diagonal
+    # keeps a clamped 1/r from entering the row sums.
+    WD = np.bincount(flat, weights=w * d_target, minlength=n * n).reshape(n, n)
+    np.fill_diagonal(WD, 0.0)
+    if repulsion:
+        U = 1.0 - np.bincount(flat, minlength=n * n).reshape(n, n)
+        np.fill_diagonal(U, 0.0)
+    inv_rho = (1.0 / rho)[:, None]
+
+    def sweep(x: np.ndarray, a: float) -> np.ndarray:
+        sq = np.einsum("ij,ij->i", x, x)
+        r2 = x @ x.T
+        r2 *= -2.0
+        r2 += sq[:, None]
+        r2 += sq
+        np.maximum(r2, _EPS * _EPS, out=r2)
+        C = WD / np.sqrt(r2)
+        if repulsion and a > 0.0:
+            C += np.divide(U, r2, out=r2) * a
+        rs = C.sum(axis=1)
+        C -= W
+        return (rs[:, None] * x - C @ x) * inv_rho
+
+    return sweep
+
+
 def maxent_stress_layout(
     g: Graph | CSRGraph,
     dim: int = 3,
@@ -214,7 +280,7 @@ def maxent_stress_layout(
     repulsion_samples:
         Sampled far-pairs per node per sweep (q), used by the sampled
         engine only. 0 disables the entropy term (classic sparse stress)
-        in *every* engine, Barnes-Hut included.
+        in *every* engine, exact and Barnes-Hut included.
     repulsion_theta:
         Barnes-Hut opening angle (``impl="barnes_hut"`` only): smaller is
         more accurate and more expensive; the approximation error is
@@ -226,8 +292,13 @@ def maxent_stress_layout(
         Warm-start coordinates, e.g. the previous frame's layout — this is
         what makes widget frame switches cheaper than cold layouts.
     impl:
-        ``"auto"`` (default) picks ``"barnes_hut"`` at or above
-        :data:`BARNES_HUT_THRESHOLD` nodes and ``"sampled"`` below it.
+        ``"auto"`` (default) picks ``"exact"`` while ``n * n`` fits
+        :data:`~repro.graphkit.kernels.CACHE_BLOCK_ENTRIES` (n ≤ 181),
+        ``"sampled"`` below :data:`BARNES_HUT_THRESHOLD` nodes and
+        ``"barnes_hut"`` from there up. ``"exact"`` runs each sweep on
+        dense ``(n, n)`` matrices and sums the entropy gradient over
+        every unknown pair — no sampling, no rng draw per sweep, the
+        same local-iteration update as the arc-list engines.
         ``"sampled"`` (alias ``"vectorized"``, the historical name) uses
         batched BFS for pair discovery, bincount scatter-adds, and the
         sampled repulsion estimator; ``"barnes_hut"`` shares those sweep
@@ -282,64 +353,72 @@ def maxent_stress_layout(
         def scatter_add(agg: np.ndarray, contrib: np.ndarray) -> None:
             np.add.at(agg, tails, contrib)
 
+    if impl == "exact":
+        sweep = _dense_sweep(
+            n, tails, heads, w, d_target, rho, repulsion_samples > 0 and n > 1
+        )
+
     a = float(alpha)
     scale = float(np.mean(d_target))
     while True:
         for _ in range(iterations_per_alpha):
             if cancel is not None and cancel():
                 return x
-            diff = x[tails] - x[heads]  # (nnz, dim)
-            dist = np.linalg.norm(diff, axis=1)
-            np.maximum(dist, _EPS, out=dist)
-            # Attraction toward the target sphere around each neighbour.
-            coeff = (w * d_target / dist)[:, None]
-            contrib = w[:, None] * x[heads] + coeff * diff
-            agg = np.zeros_like(x)
-            scatter_add(agg, contrib)
-
-            if repulsion_samples > 0 and a > 0.0 and n > 1:
-                if impl == "barnes_hut":
-                    # All-pairs repulsion through the theta-gated tree,
-                    # minus the exact contribution of the known (stress)
-                    # arcs so the entropy gradient covers precisely the
-                    # unknown pairs. Deterministic: no rng draw here, so
-                    # warm-started re-solves are reproducible.
-                    rep = BarnesHutTree(x).repulsion(repulsion_theta)
-                    known = diff / np.maximum(dist * dist, _EPS)[:, None]
-                    krep = np.zeros_like(x)
-                    scatter_add(krep, known)
-                    rep -= krep
-                else:
-                    q = min(repulsion_samples, n - 1)
-                    far = rng.integers(0, n, size=(n, q))
-                    rdiff = x[:, None, :] - x[far]  # (n, q, dim)
-                    rdist2 = np.einsum("ijk,ijk->ij", rdiff, rdiff)
-                    np.maximum(rdist2, _EPS, out=rdist2)
-                    rep = (rdiff / rdist2[:, :, None]).sum(axis=1)
-                    # Scale sample mean to the (n - 1 - deg) unknown pairs.
-                    unknown = np.maximum(n - 1 - degrees, 0)[:, None]
-                    rep *= unknown / q
-                x_new = agg / rho[:, None] + (a / rho)[:, None] * rep
-                if impl == "barnes_hut":
-                    # Trust region. The entropy gradient is unbounded for
-                    # pair-free nodes (rho floored to _EPS turns the
-                    # repulsion term into a ~1/_EPS kick) and near-singular
-                    # at coincident points, both of which stress-majorized
-                    # warm starts produce in bulk: one uncapped sweep can
-                    # teleport such nodes nine orders of magnitude out,
-                    # wrecking the embedding and collapsing the octree to a
-                    # handful of cells (its O(n log n) evaluation degrades
-                    # to O(n²)). The cap is deterministic, so warm-started
-                    # re-solves stay bit-identical.
-                    step = x_new - x
-                    norm = np.linalg.norm(step, axis=1)
-                    limit = _BH_STEP_SCALES * max(scale, _EPS)
-                    hot = norm > limit
-                    if hot.any():
-                        shrink = np.where(hot, limit / np.maximum(norm, _EPS), 1.0)
-                        x_new = x + step * shrink[:, None]
+            if impl == "exact":
+                x_new = sweep(x, a)
             else:
-                x_new = agg / rho[:, None]
+                diff = x[tails] - x[heads]  # (nnz, dim)
+                dist = np.linalg.norm(diff, axis=1)
+                np.maximum(dist, _EPS, out=dist)
+                # Attraction toward the target sphere around each neighbour.
+                coeff = (w * d_target / dist)[:, None]
+                contrib = w[:, None] * x[heads] + coeff * diff
+                agg = np.zeros_like(x)
+                scatter_add(agg, contrib)
+
+                if repulsion_samples > 0 and a > 0.0 and n > 1:
+                    if impl == "barnes_hut":
+                        # All-pairs repulsion through the theta-gated tree,
+                        # minus the exact contribution of the known (stress)
+                        # arcs so the entropy gradient covers precisely the
+                        # unknown pairs. Deterministic: no rng draw here, so
+                        # warm-started re-solves are reproducible.
+                        rep = BarnesHutTree(x).repulsion(repulsion_theta)
+                        known = diff / np.maximum(dist * dist, _EPS)[:, None]
+                        krep = np.zeros_like(x)
+                        scatter_add(krep, known)
+                        rep -= krep
+                    else:
+                        q = min(repulsion_samples, n - 1)
+                        far = rng.integers(0, n, size=(n, q))
+                        rdiff = x[:, None, :] - x[far]  # (n, q, dim)
+                        rdist2 = np.einsum("ijk,ijk->ij", rdiff, rdiff)
+                        np.maximum(rdist2, _EPS, out=rdist2)
+                        rep = (rdiff / rdist2[:, :, None]).sum(axis=1)
+                        # Scale sample mean to the (n - 1 - deg) unknown pairs.
+                        unknown = np.maximum(n - 1 - degrees, 0)[:, None]
+                        rep *= unknown / q
+                    x_new = agg / rho[:, None] + (a / rho)[:, None] * rep
+                    if impl == "barnes_hut":
+                        # Trust region. The entropy gradient is unbounded for
+                        # pair-free nodes (rho floored to _EPS turns the
+                        # repulsion term into a ~1/_EPS kick) and near-singular
+                        # at coincident points, both of which stress-majorized
+                        # warm starts produce in bulk: one uncapped sweep can
+                        # teleport such nodes nine orders of magnitude out,
+                        # wrecking the embedding and collapsing the octree to a
+                        # handful of cells (its O(n log n) evaluation degrades
+                        # to O(n²)). The cap is deterministic, so warm-started
+                        # re-solves stay bit-identical.
+                        step = x_new - x
+                        norm = np.linalg.norm(step, axis=1)
+                        limit = _BH_STEP_SCALES * max(scale, _EPS)
+                        hot = norm > limit
+                        if hot.any():
+                            shrink = np.where(hot, limit / np.maximum(norm, _EPS), 1.0)
+                            x_new = x + step * shrink[:, None]
+                else:
+                    x_new = agg / rho[:, None]
 
             move = float(np.linalg.norm(x_new - x, axis=1).mean())
             x = x_new

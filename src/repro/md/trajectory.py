@@ -34,6 +34,12 @@ class Trajectory:
                 f"coordinates have {coords.shape[1]} atoms, topology has "
                 f"{topology.n_atoms}"
             )
+        # NaN distances compare false against every cut-off, so one bad
+        # atom would silently drop its contacts from each RIN built here.
+        finite = np.isfinite(coords).all(axis=(1, 2))
+        if not finite.all():
+            bad = np.flatnonzero(~finite).tolist()
+            raise ValueError(f"coordinates must be finite (NaN/inf in frames {bad})")
         self.topology = topology
         self.coordinates = coords
 

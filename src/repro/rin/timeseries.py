@@ -21,7 +21,6 @@ import numpy as np
 
 from ..graphkit.csr import CSRGraph, CSRSnapshotBuffer, pack_edge_keys
 from ..graphkit.incremental import IncrementalMeasures
-from ..graphkit.parallel import ShardedExecutor
 from ..md.distances import contact_pairs, residue_distance_matrix
 from ..md.trajectory import Trajectory
 from .criteria import DistanceCriterion

@@ -334,6 +334,26 @@ class TestLayoutDifferential:
         )
         assert np.allclose(fast, slow, atol=1e-6)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_stress_only_engines_agree(self, two_triangles, karate, a3d_traj, k):
+        # Without the entropy term all engines run the same local
+        # iteration: dense ``exact`` against the arc-list twins. k=3 on
+        # karate and A3D would bind the per-node pair budget, where the
+        # reference truncates differently by design.
+        from repro.rin import build_rin
+
+        a3d = build_rin(a3d_traj.topology, a3d_traj.frame(0), 4.5)
+        graphs = [two_triangles] + ([karate, a3d] if k == 1 else [])
+        for g in graphs:
+            sampled, exact, reference = (
+                maxent_stress_layout(
+                    g, 3, k, seed=4, repulsion_samples=0, impl=impl
+                )
+                for impl in ("sampled", "exact", "reference")
+            )
+            assert np.allclose(exact, sampled, rtol=0.0, atol=1e-9)
+            assert np.allclose(exact, reference, rtol=0.0, atol=1e-9)
+
     def test_khop_pair_sets_match_when_cap_unbinding(self):
         # On a cycle every node has exactly two nodes per hop distance, so
         # the per-node pair budget never binds and the two discovery

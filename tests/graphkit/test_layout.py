@@ -2,16 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphkit import Graph
+from repro.graphkit.csr import CSRGraph
 from repro.graphkit.layout import (
     FruchtermanReingold,
     MaxentStress,
+    exact_repulsion,
     fruchterman_reingold_layout,
     maxent_stress_layout,
+    maxent_stress_value,
     spectral_layout,
 )
 from repro.graphkit.generators import grid_2d, random_geometric
+from repro.graphkit.layout.maxent_stress import _EPS, _known_pairs, _resolve_impl
+from repro.rin import build_rin
 
 
 def layout_stress(g, coords):
@@ -155,6 +162,148 @@ class TestBarnesHutTrustRegion:
             alpha=0.008, alpha_min=0.008, iterations_per_alpha=1, tol=0.0,
         )
         assert np.linalg.norm(x1 - x0, axis=1).max() < 100.0
+
+
+def one_sweep_oracle(g, x, k, alpha):
+    """One local-iteration sweep from ``x`` with the exact entropy term.
+
+    The arc-list attraction plus the all-pairs ``exact_repulsion`` minus
+    the known-arc terms: the update the dense engine must reproduce.
+    """
+    csr = g.csr() if isinstance(g, Graph) else g
+    n = csr.n
+    tails, heads, d = _known_pairs(csr, k, 24)
+    w = 1.0 / np.maximum(d, _EPS) ** 2
+    rho = np.maximum(np.bincount(tails, weights=w, minlength=n), _EPS)
+    diff = x[tails] - x[heads]
+    dist = np.maximum(np.linalg.norm(diff, axis=1), _EPS)
+    attract = w[:, None] * x[heads] + (w * d / dist)[:, None] * diff
+    known = diff / (dist * dist)[:, None]
+    agg = np.zeros_like(x)
+    rep = exact_repulsion(x)
+    np.add.at(agg, tails, attract)
+    np.add.at(rep, tails, -known)
+    return (agg + alpha * rep) / rho[:, None]
+
+
+def one_sweep(g, x, k, alpha):
+    return maxent_stress_layout(
+        g, x.shape[1], k, initial=x, impl="exact", alpha=alpha,
+        alpha_min=alpha, iterations_per_alpha=1, tol=0.0,
+    )
+
+
+@st.composite
+def small_graphs(draw):
+    """Weighted graphs of 2..40 nodes, often with isolated nodes."""
+    n = draw(st.integers(2, 40))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    p = draw(st.sampled_from([0.05, 0.15, 0.4]))
+    iu, ju = np.triu_indices(n, 1)
+    pick = rng.random(len(iu)) < p
+    if not pick.any():
+        pick[0] = True
+    weights = rng.uniform(0.5, 3.0, int(pick.sum()))
+    edges = [
+        (int(u), int(v), float(wt))
+        for u, v, wt in zip(iu[pick], ju[pick], weights)
+    ]
+    return Graph.from_weighted_edges(n, edges), seed
+
+
+class TestExactEngine:
+    """``impl="exact"``: dense sweeps, entropy term over every unknown pair."""
+
+    def test_auto_picks_exact_within_the_cache_budget(self):
+        assert _resolve_impl("auto", 73) == "exact"
+        assert _resolve_impl("auto", 181) == "exact"
+        assert _resolve_impl("auto", 182) == "sampled"
+        assert _resolve_impl("auto", 4096) == "barnes_hut"
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_one_sweep_matches_oracle(self, karate, k):
+        x0 = np.random.default_rng(0).standard_normal((34, 3))
+        for alpha in (1.0, 0.008):
+            assert np.allclose(
+                one_sweep(karate, x0, k, alpha),
+                one_sweep_oracle(karate, x0, k, alpha),
+                rtol=0.0, atol=1e-10,
+            )
+
+    def test_one_sweep_matches_oracle_on_a3d(self, a3d_traj):
+        g = build_rin(a3d_traj.topology, a3d_traj.frame(0), 4.5)
+        x0 = maxent_stress_layout(g, 3, seed=2, impl="sampled")
+        assert np.allclose(
+            one_sweep(g, x0, 1, 0.25), one_sweep_oracle(g, x0, 1, 0.25),
+            rtol=0.0, atol=1e-10,
+        )
+
+    def test_self_loops(self):
+        # Hand-built CSR (the Graph builder keeps simple graphs): a loop
+        # arc adds weight to rho but no pull, and is no unknown pair.
+        indptr = np.array([0, 2, 4, 7, 8])
+        indices = np.array([0, 1, 0, 2, 1, 2, 3, 2])
+        weights = np.array([0.7, 1.2, 1.2, 0.9, 0.9, 1.6, 0.5, 0.5])
+        csr = CSRGraph(indptr, indices, weights)
+        x0 = np.random.default_rng(3).standard_normal((4, 2))
+        assert np.allclose(
+            one_sweep(csr, x0, 1, 0.5), one_sweep_oracle(csr, x0, 1, 0.5),
+            rtol=0.0, atol=1e-10,
+        )
+        exact, sampled = (
+            maxent_stress_layout(csr, 2, seed=1, repulsion_samples=0, impl=impl)
+            for impl in ("exact", "sampled")
+        )
+        assert np.allclose(exact, sampled, rtol=0.0, atol=1e-9)
+
+    def test_draws_nothing_from_the_rng_during_sweeps(self, karate):
+        # Same initial coordinates, different seeds: the same layout.
+        x0 = maxent_stress_layout(karate, 3, seed=1, impl="sampled")
+        a = maxent_stress_layout(karate, 3, seed=2, initial=x0, impl="exact")
+        b = maxent_stress_layout(karate, 3, seed=3, initial=x0, impl="exact")
+        assert np.array_equal(a, b)
+
+    def test_cancel_mid_solve_returns_partial(self, karate):
+        polls = {"n": 0}
+
+        def cancel_after_three():
+            polls["n"] += 1
+            return polls["n"] > 3
+
+        partial = maxent_stress_layout(
+            karate, 3, seed=1, impl="exact", tol=0.0, cancel=cancel_after_three
+        )
+        # Exactly three sweeps of the first annealing stage ran.
+        three = maxent_stress_layout(
+            karate, 3, seed=1, impl="exact", tol=0.0,
+            iterations_per_alpha=3, alpha_min=1.0,
+        )
+        assert polls["n"] == 4
+        assert np.array_equal(partial, three)
+
+    def test_close_to_sampled_layout_quality(self, a3d_traj):
+        g = build_rin(a3d_traj.topology, a3d_traj.frame(0), 4.5)
+        exact = maxent_stress_value(g, maxent_stress_layout(g, 3, impl="exact"))
+        sampled = maxent_stress_value(
+            g, maxent_stress_layout(g, 3, impl="sampled")
+        )
+        assert exact <= 1.10 * sampled
+
+    @given(small_graphs(), st.sampled_from([1, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_graphs(self, case, k):
+        g, seed = case
+        x = maxent_stress_layout(g, 3, k, seed=seed, impl="exact")
+        assert x.shape == (g.number_of_nodes(), 3)
+        assert np.isfinite(x).all()
+        x0 = np.random.default_rng(seed).standard_normal(x.shape)
+        # Pair-free nodes divide by rho floored to _EPS, so their
+        # coordinates reach ~1/_EPS: compare relative to magnitude there.
+        assert np.allclose(
+            one_sweep(g, x0, k, 0.5), one_sweep_oracle(g, x0, k, 0.5),
+            rtol=1e-9, atol=1e-10,
+        )
 
 
 class TestFruchtermanReingold:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.md import (
-    Topology,
     Trajectory,
     TrajectoryGenerator,
     generate_trajectory,
@@ -44,6 +43,15 @@ class TestTrajectory:
         topo, _ = a3d
         with pytest.raises(ValueError):
             Trajectory(topo, np.zeros((topo.n_atoms,)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_rejected(self, traj, bad):
+        # A NaN distance compares false against every cut-off: one bad
+        # atom used to build a RIN with its contacts silently missing.
+        coords = traj.coordinates.copy()
+        coords[2, 17, 1] = bad
+        with pytest.raises(ValueError, match=r"finite.*\[2\]"):
+            Trajectory(traj.topology, coords)
 
     def test_frame_indexing(self, traj):
         assert traj.frame(0).shape == (traj.n_atoms, 3)
@@ -197,6 +205,17 @@ class TestPDB:
         path = tmp_path / "empty.pdb"
         path.write_text("HEADER    nothing\nEND\n")
         with pytest.raises(ValueError):
+            read_pdb(path)
+
+    def test_non_finite_pdb_rejected(self, a3d, tmp_path):
+        topo, native = a3d
+        path = tmp_path / "nan.pdb"
+        write_pdb((topo, native), path)
+        lines = path.read_text().splitlines(keepends=True)
+        first = next(i for i, l in enumerate(lines) if l.startswith("ATOM"))
+        lines[first] = lines[first][:30] + f"{'nan':>8}" + lines[first][38:]
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="finite"):
             read_pdb(path)
 
     def test_pdb_format_columns(self, a3d, tmp_path):

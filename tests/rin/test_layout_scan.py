@@ -128,11 +128,15 @@ class TestLayoutParams:
             trp_traj,
             CUTOFF,
             frames=range(2),
-            layout_params={"impl": "sampled"},
+            layout_params={"impl": "exact"},
         )
-        # 2JOF is far below BARNES_HUT_THRESHOLD, so auto == sampled.
+        # 2JOF's n * n fits CACHE_BLOCK_ENTRIES, so auto == exact.
         auto = trajectory_layout_scan(trp_traj, CUTOFF, frames=range(2))
         assert np.array_equal(scan.coordinates, auto.coordinates)
+        sampled = trajectory_layout_scan(
+            trp_traj, CUTOFF, frames=range(2), layout_params={"impl": "sampled"}
+        )
+        assert not np.array_equal(sampled.coordinates, auto.coordinates)
 
     @pytest.mark.parametrize("key", ["initial", "seed", "alpha"])
     def test_reserved_params_rejected(self, trp_traj, key):
