@@ -98,8 +98,11 @@ from repro.graphkit.incremental import IncrementalMeasures, full_measures
 from repro.graphkit.kernels import sorted_contact_order
 from repro.graphkit.layout import maxent_stress_layout
 from repro.graphkit.layout.bhtree import BarnesHutTree, exact_repulsion
-from repro.graphkit.parallel import ShardedExecutor
-from repro.graphkit.service import get_compute_service, shutdown_compute_service
+from repro.graphkit.service import (
+    ComputeService,
+    configure_compute_service,
+    shutdown_compute_service,
+)
 from repro.md.distances import residue_distance_matrix
 from repro.rin import DynamicRIN, build_rin, cutoff_scan, trajectory_cutoff_scan
 
@@ -224,9 +227,11 @@ def main() -> int:
         # cut-off, per frame); 'vectorized' fans the frames across a warm
         # workers=8 process pool: the trajectory coordinate block lives in
         # shared memory, each worker walks sorted-contact prefixes with an
-        # incremental union-find. The pool is created once per protein
-        # (service steady state); the warmup call primes its forks.
-        scan_pool = ShardedExecutor(workers=SCAN_WORKERS)
+        # incremental union-find. The pool — a lease on a private
+        # service — is created once per protein (service steady state);
+        # the warmup call primes its forks.
+        scan_service = ComputeService(SCAN_WORKERS)
+        scan_pool = scan_service.lease()
 
         def multiframe_scan(impl):
             if impl == "reference":
@@ -256,6 +261,7 @@ def main() -> int:
 
         record(f"fig7_dynrin_scan_{protein}", dynrin_scan)
         scan_pool.close()
+        scan_service.close()
 
         # Fig. 7 — delta-aware measure maintenance on the multi-frame
         # fine scan. Both engines walk identical sorted-contact prefixes
@@ -452,7 +458,7 @@ def main() -> int:
     del g_dir, dir_scores
 
     # Sampled weighted betweenness: a 2500-node Barabási–Albert graph
-    # with seeded uniform weights — the 288-pivot sharded estimator
+    # with seeded uniform weights — the 288-pivot sampled estimator
     # against the exact weighted Brandes engine. Acceptance
     # floor: 5x at <= 0.05 mean absolute rank error; the rank-error half
     # of the gate is asserted here (it is deterministic under the fixed
@@ -513,15 +519,17 @@ def main() -> int:
     # sessions (the §III-B regime: one widget per hub user), timed as
     # time-to-first-result across all sessions. Each session opens a
     # widget pipeline, publishes its first layout, and runs the widget's
-    # mid-session scan view. 'reference' is the pre-service placement:
-    # every session forks a dedicated solver pool (compute="dedicated")
-    # and every scan invocation spins up — and tears down — its own
-    # ``workers=SCAN_WORKERS`` pool. 'vectorized' leases all of it from
-    # the one long-lived shared ``ComputeService`` pool, whose single
-    # startup is paid by the warmup call. Both arms must stay
-    # bit-identical to the serial in-process twins, and the service must
-    # leave /dev/shm clean once shut down. Pinned to the smallest paper
-    # protein: the scenario measures pool lifecycle, not graph size.
+    # mid-session scan view. 'reference' rebuilds the pre-service
+    # placement: every session configures a fresh one-process solver
+    # service (closing the previous session's), and every scan
+    # invocation spins up — and tears down — a private
+    # ``ComputeService(SCAN_WORKERS)`` pool. 'vectorized' leases all of
+    # it from one long-lived default-width service, configured by the
+    # arm's first (warmup) call, which pays its single startup. Both
+    # arms must stay bit-identical to the serial in-process twins, and
+    # the service must leave /dev/shm clean once shut down. Pinned to
+    # the smallest paper protein: the scenario measures pool lifecycle,
+    # not graph size.
     ms_traj = protein_trajectory("2JOF")
     ms_topo, ms_frame0 = ms_traj.topology, ms_traj.frame(0)
     with UpdatePipeline(
@@ -535,20 +543,21 @@ def main() -> int:
         set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
     )
 
-    def one_session(compute):
+    def one_session(dedicated):
+        if dedicated:
+            configure_compute_service(workers=1).start()
         pipe = UpdatePipeline(
             DynamicRIN(ms_traj, frame=0, cutoff=4.5),
             measure="Degree Centrality",
             engine="process",
-            compute=compute,
         )
         try:
             pipe.switch_cutoff(6.0)
             assert np.array_equal(
                 pipe.maxent_coordinates, twin_coords
             ), "multi_session layout diverged from the serial twin"
-            if compute == "dedicated":
-                with ShardedExecutor(workers=SCAN_WORKERS) as ex:
+            if dedicated:
+                with ComputeService(SCAN_WORKERS) as svc, svc.lease() as ex:
                     scan = cutoff_scan(
                         ms_topo, ms_frame0, SCAN_CUTOFFS, executor=ex
                     )
@@ -562,12 +571,16 @@ def main() -> int:
         finally:
             pipe.close()
 
+    shared: list = []
+
     def multi_session(impl):
-        compute = "dedicated" if impl == "reference" else "shared"
-        if compute == "shared":
-            get_compute_service().start()
+        dedicated = impl == "reference"
+        if not dedicated and not shared:
+            # record() runs every reference call first: replace the last
+            # one-process solver service with the default-width one, once.
+            shared.append(configure_compute_service().start())
         for _ in range(MULTI_SESSIONS):
-            one_session(compute)
+            one_session(dedicated)
 
     record("multi_session_2JOF", multi_session)
     shutdown_compute_service()

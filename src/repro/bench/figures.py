@@ -153,15 +153,8 @@ class Fig4Result:
         )
 
 
-def _fig4_size_shard(payload: tuple, arrays: dict) -> tuple:
-    """Shard: one size point of the Fig. 4 sweep (module-level: picklable).
-
-    Builds the graph, times the layout solve and the figure build, and
-    returns the row fields. Per-row wall times are measured inside the
-    worker, so a sharded sweep reports the same per-size numbers as the
-    serial one (modulo host contention when shards overlap on cores).
-    """
-    n, impl = payload
+def _fig4_row(n: int, impl: str) -> Fig4Row:
+    """One size point of the Fig. 4 sweep: build, lay out, draw, time."""
     g = fig4_graph() if n == 4941 else layout_scale_graph(n)
     coords_holder: dict = {}
 
@@ -175,42 +168,28 @@ def _fig4_size_shard(payload: tuple, arrays: dict) -> tuple:
     fig_s = _ms(
         lambda: plotly_widget(g, coords=coords_holder["coords"])
     ) / 1e3
-    return g.number_of_nodes(), g.number_of_edges(), layout_s, fig_s
+    return Fig4Row(
+        nodes=g.number_of_nodes(),
+        edges=g.number_of_edges(),
+        layout_seconds=layout_s,
+        figure_seconds=fig_s,
+    )
 
 
 def run_fig4(
     sizes: tuple[int, ...] = (1000, 4941, 20000, 50000),
     *,
     impl: str = "sampled",
-    workers: int = 0,
 ) -> Fig4Result:
     """Layout + figure build across graph sizes (paper: 'a few seconds').
 
-    The size axis is the shard axis: ``workers > 0`` fans one size point
-    per :class:`~repro.graphkit.parallel.ShardedExecutor` payload, so the
-    whole sweep finishes in roughly the slowest size's time on a
-    multi-core host; ``workers=0`` (default) runs the identical shard
-    function serially. ``impl`` pins the repulsion engine — the default
-    stays ``"sampled"`` because the figure reproduces the paper-era
-    timing claim; pass ``"barnes_hut"`` (or ``"auto"``) to sweep the
-    tree engine instead.
+    Size points run one after another, so no two rows' wall times
+    compete for cores. ``impl`` pins the repulsion
+    engine — the default stays ``"sampled"`` because the figure
+    reproduces the paper-era timing claim; pass ``"barnes_hut"`` (or
+    ``"auto"``) to sweep the tree engine instead.
     """
-    from ..graphkit.parallel import ShardedExecutor
-
-    payloads = [(int(n), impl) for n in sizes]
-    with ShardedExecutor(workers=workers) as ex:
-        rows = ex.run(_fig4_size_shard, payloads)
-    result = Fig4Result()
-    for nodes, edges, layout_s, fig_s in rows:
-        result.rows.append(
-            Fig4Row(
-                nodes=nodes,
-                edges=edges,
-                layout_seconds=layout_s,
-                figure_seconds=fig_s,
-            )
-        )
-    return result
+    return Fig4Result(rows=[_fig4_row(int(n), impl) for n in sizes])
 
 
 # ----------------------------------------------------------------------

@@ -63,7 +63,6 @@ class CloudSession:
         async_updates: bool = False,
         debounce_ms: float = 0.0,
         engine: str = "thread",
-        compute: str = "shared",
         solve_budget_ms: float = 1000.0,
     ):
         self._hub = hub
@@ -73,15 +72,14 @@ class CloudSession:
         self._address = client_address or f"198.51.100.{abs(hash(username)) % 250}"
         self.pod: Pod = hub.login(username, password)
         # engine="process" moves this session's layout solves out of the
-        # hub process's GIL. With compute="shared" (default) every
-        # session's solves run on the one process-wide ComputeService —
-        # the paper's shared NetworKit backend — and this session is
-        # registered there under its username with ``solve_budget_ms`` as
-        # its fair-share weight: a user who has burned through their
-        # budget yields the queue to lighter users. compute="dedicated"
-        # restores the old pool-per-session isolation.
+        # hub process's GIL. Every session's solves run on the one
+        # process-wide ComputeService — the paper's shared NetworKit
+        # backend — and this session is registered there under its
+        # username with ``solve_budget_ms`` as its fair-share weight: a
+        # user who has burned through their budget yields the queue to
+        # lighter users.
         self.compute_session = None
-        if engine == "process" and compute == "shared":
+        if engine == "process":
             self.compute_session = get_compute_service().session(
                 username, budget_ms=solve_budget_ms
             )
@@ -92,7 +90,6 @@ class CloudSession:
             async_updates=async_updates,
             debounce_ms=debounce_ms,
             engine=engine,
-            compute=compute,
             compute_session=self.compute_session,
         )
         self.requests: list[SessionRequest] = []
@@ -202,7 +199,7 @@ class CloudSession:
         if self.compute_session is None:
             raise RuntimeError(
                 "session has no shared compute session to re-budget "
-                '(needs engine="process" with compute="shared")'
+                '(needs engine="process")'
             )
         self.compute_session.set_budget(budget_ms)
 

@@ -70,7 +70,6 @@ class RINExplorer:
         async_updates: bool = False,
         debounce_ms: float = 0.0,
         engine: str = "thread",
-        compute: str = "shared",
         compute_session=None,
     ):
         if trajectory is None:
@@ -91,7 +90,6 @@ class RINExplorer:
             async_updates=async_updates,
             debounce_ms=debounce_ms,
             engine=engine,
-            compute=compute,
             compute_session=compute_session,
         )
 

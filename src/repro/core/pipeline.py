@@ -43,8 +43,8 @@ import numpy as np
 
 from ..graphkit.csr import CSRGraph
 from ..graphkit.layout import maxent_stress_layout
-from ..graphkit.parallel import ShardedExecutor, SharedCancelFlag
-from ..graphkit.service import ComputeSession, get_compute_service
+from ..graphkit.parallel import SharedCancelFlag
+from ..graphkit.service import ComputeSession, ServiceExecutor, get_compute_service
 from ..rin.dynamic import DynamicRIN
 from ..rin.measures import GraphMeasure, get_measure
 from ..vizbridge.bridge import graph_traces
@@ -66,7 +66,6 @@ def _now_ms() -> float:
 
 
 _ENGINES = ("thread", "process")
-_COMPUTE_MODES = ("shared", "dedicated")
 
 
 def _maxent_solve_shard(payload: dict, arrays: dict) -> np.ndarray:
@@ -133,18 +132,11 @@ class UpdatePipeline:
         process boundary through a :class:`SharedCancelFlag` the parent
         raises whenever ``cancel_check`` fires mid-solve — semantics
         (partial-coordinate warm starts, figures untouched) are identical
-        to the thread engine. Call :meth:`close` to release the solver
-        resources.
-    compute:
-        Where the process engine's solves run. ``"shared"`` (default)
-        takes a lease on the process-wide
-        :class:`~repro.graphkit.service.ComputeService` — every session
-        shares one persistent worker pool and the cross-session
-        scheduler orders solves by session budgets. ``"dedicated"``
-        keeps the pre-service behaviour (one private
-        :class:`ShardedExecutor` per pipeline) for isolation tests and
-        the multi-session benchmark's reference arm. Ignored by the
-        thread engine.
+        to the thread engine. The solves run on a lease from the
+        process-wide :class:`~repro.graphkit.service.ComputeService`:
+        every session shares one persistent worker pool and the
+        cross-session scheduler orders solves by session budgets. Call
+        :meth:`close` to release the lease.
     compute_session:
         Optional :class:`~repro.graphkit.service.ComputeSession` the
         shared service schedules this pipeline's solves under (budgeted
@@ -162,7 +154,6 @@ class UpdatePipeline:
         layout_params: dict | None = None,
         cancel_check: Callable[[], bool] | None = None,
         engine: str = "thread",
-        compute: str = "shared",
         compute_session: ComputeSession | None = None,
     ):
         if engine not in _ENGINES:
@@ -171,10 +162,6 @@ class UpdatePipeline:
         for reserved in ("initial", "seed", "cancel"):
             if reserved in layout_params:
                 raise ValueError(f"layout_params may not override {reserved!r}")
-        if compute not in _COMPUTE_MODES:
-            raise ValueError(
-                f"compute must be one of {_COMPUTE_MODES}, got {compute!r}"
-            )
         self._rin = rin
         self._measure: GraphMeasure = get_measure(measure)
         self._client = client or ClientSimulator()
@@ -183,26 +170,17 @@ class UpdatePipeline:
         self._layout_params = layout_params
         self._cancel_check = cancel_check
         self._engine_kind = engine
-        self._compute = compute
-        self._solver_pool = None  # ShardedExecutor or a service lease
+        self._solver_pool: ServiceExecutor | None = None
         self._solver_flag: SharedCancelFlag | None = None
         if engine == "process":
-            if compute == "shared":
-                # A lease on the process-wide service: the persistent
-                # pool is shared by every session; start() warms it here,
-                # pinning the fork point to construction time — before
-                # the async pipeline's worker thread (or any session
-                # threading) exists. Closing the pipeline releases only
-                # the lease (its cancel flag), never the pool.
-                service = get_compute_service().start()
-                self._solver_pool = service.lease(
-                    workers=1, session=compute_session
-                )
-            else:
-                # One dedicated solver process per session (pre-service
-                # behaviour): isolation at the cost of a pool startup
-                # and teardown per session.
-                self._solver_pool = ShardedExecutor(workers=1).start()
+            # A lease on the process-wide service: the persistent pool is
+            # shared by every session; start() warms it here, pinning the
+            # fork point to construction time — before the async
+            # pipeline's worker thread (or any session threading) exists.
+            # Closing the pipeline releases only the lease (its cancel
+            # flag), never the pool.
+            service = get_compute_service().start()
+            self._solver_pool = service.lease(workers=1, session=compute_session)
             self._solver_flag = self._solver_pool.cancel_flag()
 
         self._maxent_coords: np.ndarray | None = None
@@ -253,11 +231,6 @@ class UpdatePipeline:
         """Where layout solves run: ``"thread"`` or ``"process"``."""
         return self._engine_kind
 
-    @property
-    def compute_kind(self) -> str:
-        """Process-engine placement: ``"shared"`` service or ``"dedicated"``."""
-        return self._compute
-
     def topology_summary(self) -> dict[str, float]:
         """Topology descriptors of the current RIN, off maintained state.
 
@@ -274,13 +247,11 @@ class UpdatePipeline:
     def close(self) -> None:
         """Release the solver resources (idempotent).
 
-        For ``compute="shared"`` this closes the service lease — the
+        For the process engine this closes the service lease — the
         cancel flag's segment is unlinked, the shared pool stays up for
-        other sessions. For ``compute="dedicated"`` the private pool is
-        shut down too. No-op for the thread engine; safe to call
-        repeatedly, and tolerant of partial failure (a flag whose segment
-        is already gone never blocks the pool release). The context
-        manager form (``with UpdatePipeline(...) as pipe``) does this.
+        other sessions. No-op for the thread engine; safe to call
+        repeatedly. The context manager form (``with UpdatePipeline(...)
+        as pipe``) does this.
         """
         if self._solver_pool is not None:
             pool, self._solver_pool = self._solver_pool, None
@@ -574,7 +545,6 @@ class AsyncUpdatePipeline:
         debounce_ms: float = 0.0,
         on_result: Callable[[int, UpdateTiming], None] | None = None,
         engine: str = "thread",
-        compute: str = "shared",
         compute_session: ComputeSession | None = None,
     ):
         self._lock = threading.Lock()
@@ -604,7 +574,6 @@ class AsyncUpdatePipeline:
             layout_params=layout_params,
             cancel_check=self._is_stale,
             engine=engine,
-            compute=compute,
             compute_session=compute_session,
         )
         self._executor = ThreadPoolExecutor(

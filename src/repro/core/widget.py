@@ -63,12 +63,10 @@ class RINWidget:
         ``"process"`` (a worker process, so concurrent cloud sessions
         escape the GIL; see :class:`UpdatePipeline`). Applies to both
         sync and async modes.
-    compute / compute_session:
-        Process-engine placement (see :class:`UpdatePipeline`):
-        ``"shared"`` (default) solves on the process-wide compute
-        service — optionally under a budgeted
-        :class:`~repro.graphkit.service.ComputeSession` — while
-        ``"dedicated"`` keeps a private per-widget pool.
+    compute_session:
+        Optional budgeted :class:`~repro.graphkit.service.ComputeSession`
+        the process engine's solves are scheduled under on the
+        process-wide compute service (see :class:`UpdatePipeline`).
     """
 
     def __init__(
@@ -85,7 +83,6 @@ class RINWidget:
         async_updates: bool = False,
         debounce_ms: float = 0.0,
         engine: str = "thread",
-        compute: str = "shared",
         compute_session=None,
     ):
         self._trajectory = trajectory
@@ -104,7 +101,6 @@ class RINWidget:
                     debounce_ms=debounce_ms,
                     on_result=self._on_async_result,
                     engine=engine,
-                    compute=compute,
                     compute_session=compute_session,
                 )
             )
@@ -114,7 +110,6 @@ class RINWidget:
                 measure=measure,
                 client=client,
                 engine=engine,
-                compute=compute,
                 compute_session=compute_session,
             )
 

@@ -20,9 +20,8 @@ one-sweep-per-source loop (unweighted only), ``impl="reference"`` the
 textbook scalar Brandes. With ``weighted=True`` a third engine,
 ``impl="sampled"``, runs the seeded source-sampling estimator over the
 weighted kernel with a Hoeffding absolute-error bound
-(:func:`sampled_betweenness_error_bound`), sharded across
-:class:`~repro.graphkit.parallel.ShardedExecutor` workers with fixed
-shard boundaries so results are bit-identical for any worker count.
+(:func:`sampled_betweenness_error_bound`): one weighted kernel call over
+the seeded pivot list.
 ``docs/KERNELS.md`` documents the block math and the selection rules.
 
 :class:`EstimateBetweenness` implements the classic *unweighted*
@@ -41,7 +40,6 @@ from ..kernels import (
     batched_weighted_dependencies,
     expand_arcs,
 )
-from ..parallel import ShardedExecutor
 from . import reference
 from .base import Centrality
 
@@ -50,25 +48,6 @@ __all__ = [
     "EstimateBetweenness",
     "sampled_betweenness_error_bound",
 ]
-
-#: Fixed pivot-shard width of the sampled weighted estimator. Shard
-#: boundaries depend only on the pivot list — never on the worker count —
-#: so merging shard results in payload order is bit-identical for
-#: ``workers=0`` (serial twin) and any pool width.
-SAMPLED_SHARD = 32
-
-
-def _sampled_dependency_shard(payload, arrays) -> np.ndarray:
-    """Shard: summed weighted dependencies of one fixed pivot slice.
-
-    Shared arrays are the CSR columns (``indptr``/``indices``/
-    ``weights``); the payload is the shard's own pivot array. Pure
-    function of both, per the shard→merge contract.
-    """
-    pivots = np.asarray(payload, dtype=np.int64)
-    csr = CSRGraph(arrays["indptr"], arrays["indices"], arrays["weights"])
-    return batched_weighted_dependencies(csr, pivots)
-
 
 def sampled_betweenness_error_bound(
     n: int, nsamples: int, *, confidence: float = 0.95
@@ -189,9 +168,6 @@ class Betweenness(Centrality):
         Pivot count for ``impl="sampled"`` (default 64).
     seed:
         Pivot-sampling seed for ``impl="sampled"`` (deterministic).
-    workers:
-        ``impl="sampled"`` process-pool width for the pivot shards
-        (0 = serial in-process twin, bit-identical to any pool width).
     packed:
         Frontier representation of the unweighted kernels: ``None``
         (default) auto-selects bit-packed frontiers above
@@ -212,7 +188,6 @@ class Betweenness(Centrality):
         impl: str = "vectorized",
         nsamples: int = 64,
         seed: int | None = 42,
-        workers: int = 0,
         packed: bool | None = None,
     ):
         super().__init__(g, normalized=normalized, impl=impl)
@@ -220,7 +195,6 @@ class Betweenness(Centrality):
         self._directed = bool(directed)
         self._nsamples = int(nsamples)
         self._seed = seed
-        self._workers = int(workers)
         self._packed = packed
         if self._weighted and impl == "persource":
             raise ValueError(
@@ -300,21 +274,7 @@ class Betweenness(Centrality):
         rng = np.random.default_rng(self._seed)
         k = min(self._nsamples, n)
         pivots = rng.choice(n, size=k, replace=False).astype(np.int64)
-        executor = ShardedExecutor(self._workers)
-        try:
-            dataset = executor.share(
-                indptr=csr.indptr, indices=csr.indices, weights=csr.weights
-            )
-            payloads = [
-                pivots[lo : lo + SAMPLED_SHARD]
-                for lo in range(0, k, SAMPLED_SHARD)
-            ]
-            parts = executor.run(_sampled_dependency_shard, payloads, dataset)
-        finally:
-            executor.close()
-        dependency = np.zeros(n, dtype=np.float64)
-        for part in parts:  # payload order — deterministic float sums
-            dependency += part
+        dependency = batched_weighted_dependencies(csr, pivots)
         dependency *= n / k
         dependency /= 2.0
         return dependency

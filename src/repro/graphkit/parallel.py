@@ -1,16 +1,17 @@
-"""Process-pool execution subsystem over a shared-memory data plane.
+"""The shared-memory data plane under the compute service's pool.
 
 The scan and pipeline workloads are Python-loop-bound, so concurrent
-cloud sessions need to escape the GIL entirely. :class:`ShardedExecutor`
-owns a process pool plus a shared-memory data plane: frozen input arrays
-(CSR arc arrays, condensed distance matrices, trajectory coordinates)
-are placed in :mod:`multiprocessing.shared_memory` **once** via
-:meth:`share <ShardedExecutor.share>`, workers attach zero-copy by
-segment name, and shard payloads/results travel through the (small)
-pickle channel. ``workers=0`` is the serial in-process fallback
-executing the *same* shard functions on the *same* arrays, which is what
-makes sharded results bit-identical to serial ones.
-:class:`SharedCancelFlag` is the cross-process analog of the async
+cloud sessions need to escape the GIL entirely. The one process pool is
+owned by :class:`~repro.graphkit.service.ComputeService`; this module
+holds what travels to it. Frozen input arrays (condensed distance
+matrices, trajectory coordinates) are placed in
+:mod:`multiprocessing.shared_memory` **once** as a
+:class:`SharedDataset`, workers attach zero-copy by segment name through
+the :func:`_run_shard` trampoline, and shard payloads/results travel
+through the (small) pickle channel. A serial (``workers=0``) service
+skips placement and runs the *same* shard functions on the *same*
+arrays, which is what makes sharded results bit-identical to serial
+ones. :class:`SharedCancelFlag` is the cross-process analog of the async
 pipeline's generation counter: one shared byte the parent raises and
 in-flight workers poll. :func:`chunk_ranges` is the deterministic block
 decomposition the scan shards use.
@@ -25,9 +26,8 @@ from __future__ import annotations
 
 import os
 import weakref
-from concurrent.futures import Future, ProcessPoolExecutor
-from multiprocessing import get_context, shared_memory
-from typing import Any, Callable, Sequence
+from multiprocessing import shared_memory
+from typing import Any
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "effective_workers",
     "SharedDataset",
     "SharedCancelFlag",
-    "ShardedExecutor",
 ]
 
 
@@ -68,17 +67,21 @@ def chunk_ranges(total: int, chunks: int) -> list[tuple[int, int]]:
 def effective_workers() -> int:
     """Default process-pool width: ``REPRO_WORKERS`` env var, else cores.
 
-    A value that is not an integer raises :class:`ValueError` naming the
-    variable instead of silently falling back to the core count.
+    A value that is not a non-negative integer raises :class:`ValueError`
+    naming the variable instead of silently falling back to the core
+    count or to a serial service.
     """
     env = os.environ.get("REPRO_WORKERS")
     if env:
         try:
-            return max(0, int(env))
+            workers = int(env)
         except ValueError:
             raise ValueError(
                 f"REPRO_WORKERS must be an integer, got {env!r}"
             ) from None
+        if workers < 0:
+            raise ValueError(f"REPRO_WORKERS must be >= 0, got {workers}")
+        return workers
     return max(1, os.cpu_count() or 1)
 
 
@@ -99,16 +102,6 @@ _ATTACH_CACHE_CAP = 32
 _ATTACHED: dict[str, np.ndarray] = {}
 
 
-def _attach_cache_cap() -> int:
-    env = os.environ.get("REPRO_ATTACH_CACHE")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, _ATTACH_CACHE_CAP)
-
-
 def _attached_view(name: str, shape: tuple, dtype: str) -> np.ndarray:
     cached = _ATTACHED.get(name)
     if cached is not None:
@@ -119,8 +112,7 @@ def _attached_view(name: str, shape: tuple, dtype: str) -> np.ndarray:
     view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
     view.flags.writeable = False
     weakref.finalize(view, _close_attached, shm)
-    cap = _attach_cache_cap()
-    while len(_ATTACHED) >= cap:
+    while len(_ATTACHED) >= _ATTACH_CACHE_CAP:
         _ATTACHED.pop(next(iter(_ATTACHED)))
     _ATTACHED[name] = view
     return view
@@ -129,8 +121,9 @@ def _attached_view(name: str, shape: tuple, dtype: str) -> np.ndarray:
 class SharedDataset:
     """Named read-only numpy arrays placed in shared memory once.
 
-    Created by :meth:`ShardedExecutor.share`. The parent keeps the
-    original arrays (serial fallback reads them directly — same memory,
+    Created by :meth:`ServiceExecutor.share
+    <repro.graphkit.service.ServiceExecutor.share>`. The parent keeps the
+    original arrays (a serial lease reads them directly — same memory,
     same results); worker processes resolve the pickled ``(name, shape,
     dtype)`` specs to zero-copy views of the same physical pages.
     """
@@ -152,8 +145,8 @@ class SharedDataset:
                 view.flags.writeable = False
                 self._segments.append(seg)
                 self._specs[key] = (seg.name, arr.shape, arr.dtype.str)
-                # Workers read the placed copy; the parent does too, so the
-                # serial fallback and the pool see identical bytes.
+                # Workers read the placed copy; the parent does too, so
+                # inline and pooled shards see identical bytes.
                 self._arrays[key] = view
         weakref.finalize(self, _release_segments, self._segments)
 
@@ -195,24 +188,6 @@ def _close_attached(shm: shared_memory.SharedMemory) -> None:
         shm.close()
     except (BufferError, OSError):  # pragma: no cover - exiting anyway
         pass
-
-
-def _close_resources(resources: list) -> None:
-    """Close every tracked dataset/flag; one failure never strands the rest."""
-    pending, resources[:] = list(resources), []
-    for res in pending:
-        try:
-            res.close()
-        except Exception:  # pragma: no cover - best-effort teardown
-            pass
-
-
-def _reap_executor_state(state: dict) -> None:
-    """Finalizer for an executor dropped without close(): free everything."""
-    pool, state["pool"] = state["pool"], None
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-    _close_resources(state["resources"])
 
 
 class SharedCancelFlag:
@@ -288,213 +263,3 @@ def _run_shard(task: tuple) -> Any:
         for key, (name, shape, dtype) in specs.items()
     }
     return fn(payload, arrays)
-
-
-class ShardedExecutor:
-    """Deterministic shard→merge execution over a shared-memory pool.
-
-    Parameters
-    ----------
-    workers:
-        Pool width. ``0`` (default) never spawns processes: shards run
-        serially in-process over the exact same arrays, so results are
-        bit-identical to any ``workers > 0`` run — the correctness anchor
-        every sharded workload is tested against. ``None`` resolves via
-        :func:`effective_workers` (``REPRO_WORKERS`` env var, else cores).
-    start_method:
-        Forced multiprocessing start method; default prefers ``fork``
-        (cheap, inherits the attach cache) and falls back to ``spawn``.
-
-    The **shard→merge contract**: ``run(fn, payloads, dataset)`` executes
-    ``fn(payload, arrays)`` for every payload and returns the results in
-    payload order, regardless of which worker finished first — merging is
-    a deterministic, order-preserving concatenation done by the caller.
-    Shard functions must be pure functions of ``(payload, arrays)``; they
-    must not rely on cross-shard mutable state.
-    """
-
-    def __init__(self, workers: int | None = 0, *, start_method: str | None = None):
-        self._workers = effective_workers() if workers is None else int(workers)
-        if self._workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self._workers}")
-        self._start_method = start_method
-        # Pool + tracked resources live in one mutable state dict shared
-        # with a weakref finalizer: an executor that is dropped without
-        # close() (or dies with the process) still shuts its pool down and
-        # unlinks every segment it shared — the no-leak backstop for
-        # sessions that never reach their close().
-        self._state: dict = {"pool": None, "resources": []}
-        self._closed = False
-        self._finalizer = weakref.finalize(self, _reap_executor_state, self._state)
-
-    @property
-    def _pool(self) -> ProcessPoolExecutor | None:
-        return self._state["pool"]
-
-    @property
-    def _datasets(self) -> list:
-        return self._state["resources"]
-
-    # ------------------------------------------------------------------
-    @property
-    def workers(self) -> int:
-        """Configured pool width (0 = serial in-process fallback)."""
-        return self._workers
-
-    @property
-    def serial(self) -> bool:
-        """True when shards run in-process (no pool)."""
-        return self._workers == 0
-
-    @property
-    def started(self) -> bool:
-        """Whether a live worker pool currently exists."""
-        return self._state["pool"] is not None
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            # fork is the cheap default on POSIX (microsecond task setup,
-            # inherited attach cache); spawn is the portable fallback and
-            # the safe choice for heavily-threaded hosts (forking while
-            # other threads hold locks can deadlock the child) — force it
-            # via start_method= or REPRO_START_METHOD=spawn. Call
-            # :meth:`start` early, from the main thread, to pin the fork
-            # point before threads exist.
-            method = (
-                self._start_method
-                or os.environ.get("REPRO_START_METHOD")
-                or ("fork" if os.name == "posix" else "spawn")
-            )
-            self._state["pool"] = ProcessPoolExecutor(
-                max_workers=self._workers, mp_context=get_context(method)
-            )
-        return self._state["pool"]
-
-    def start(self) -> "ShardedExecutor":
-        """Create the worker pool now instead of on first use.
-
-        Pools default to the cheap ``fork`` start method, and forking is
-        only guaranteed safe while the process is single-threaded — call
-        this from the main thread during setup (the process-engine
-        pipeline does, in its constructor) so the fork point never lands
-        inside a threaded steady state. No-op for serial executors.
-        """
-        if not self.serial and not self._closed:
-            self._ensure_pool()
-        return self
-
-    # ------------------------------------------------------------------
-    def share(self, **arrays: np.ndarray) -> SharedDataset:
-        """Place arrays in shared memory once (workers attach zero-copy).
-
-        Serial executors skip placement entirely — the dataset simply
-        wraps the caller's arrays, keeping ``workers=0`` allocation-free.
-        The executor owns the dataset's lifetime: :meth:`close` unlinks
-        every segment shared through it.
-        """
-        ds = SharedDataset(arrays, place=not self.serial)
-        self._track(ds)
-        return ds
-
-    def cancel_flag(self) -> SharedCancelFlag:
-        """A cancellation token workers can poll (owner: this executor)."""
-        flag = SharedCancelFlag()
-        self._track(flag)  # type: ignore[arg-type] # close()/closed duck-type
-        return flag
-
-    def _track(self, resource) -> None:
-        # Prune resources the caller already closed so a warm executor
-        # reused across thousands of scans keeps a bounded ledger. The
-        # list object itself is stable (the finalizer holds it).
-        resources = self._state["resources"]
-        resources[:] = [d for d in resources if not d.closed]
-        resources.append(resource)
-
-    def run(
-        self,
-        fn: Callable[[Any, dict[str, np.ndarray]], Any],
-        payloads: Sequence[Any],
-        dataset: SharedDataset | None = None,
-    ) -> list:
-        """Run ``fn(payload, arrays)`` per payload; results in payload order.
-
-        ``fn`` must be defined at module level (workers import it by
-        reference). With ``workers=0`` the calls happen inline, in order,
-        on the parent-side arrays.
-        """
-        if self._closed:
-            raise RuntimeError("executor is closed")
-        if self.serial:
-            arrays = dataset.arrays if dataset is not None else {}
-            return [fn(payload, arrays) for payload in payloads]
-        specs = dataset.specs if dataset is not None else {}
-        pool = self._ensure_pool()
-        tasks = [(fn, payload, specs) for payload in payloads]
-        return list(pool.map(_run_shard, tasks))
-
-    def submit(
-        self,
-        fn: Callable[[Any, dict[str, np.ndarray]], Any],
-        payload: Any,
-        dataset: SharedDataset | None = None,
-    ) -> Future:
-        """Dispatch one shard asynchronously; returns its ``Future``.
-
-        The pipeline's process engine uses this to keep the parent thread
-        free to poll its generation counter while the solve runs
-        out-of-process. Serial executors run the shard inline and return
-        an already-resolved future.
-        """
-        if self._closed:
-            raise RuntimeError("executor is closed")
-        if self.serial:
-            future: Future = Future()
-            try:
-                arrays = dataset.arrays if dataset is not None else {}
-                future.set_result(fn(payload, arrays))
-            except BaseException as exc:  # pragma: no cover - error funnel
-                future.set_exception(exc)
-            return future
-        specs = dataset.specs if dataset is not None else {}
-        return self._ensure_pool().submit(_run_shard, (fn, payload, specs))
-
-    # ------------------------------------------------------------------
-    def restart(self) -> None:
-        """Replace a (possibly broken) pool with a fresh one.
-
-        Called by crash-recovery paths (:class:`~repro.graphkit.service.
-        ComputeService`) after a worker died: the broken pool is discarded
-        without waiting and the next dispatch forks a new one. Shared
-        datasets are untouched — segments outlive workers, and fresh
-        workers re-attach by name.
-        """
-        if self._closed:
-            raise RuntimeError("executor is closed")
-        pool, self._state["pool"] = self._state["pool"], None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def close(self) -> None:
-        """Shut the pool down and unlink every shared segment.
-
-        Idempotent and tolerant of partial failure: a dataset whose
-        segment is already gone (worker died before detach, an earlier
-        close interrupted mid-way) never strands the remaining resources
-        or the pool shutdown.
-        """
-        self._closed = True
-        pool, self._state["pool"] = self._state["pool"], None
-        try:
-            if pool is not None:
-                pool.shutdown(wait=True)
-        finally:
-            _close_resources(self._state["resources"])
-
-    def __enter__(self) -> "ShardedExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ShardedExecutor(workers={self._workers})"

@@ -2,13 +2,12 @@
 
 The paper's cloud deployment (§III-A) serves many concurrent JupyterHub
 sessions from one NetworKit backend; the per-session cost is a solve or
-scan *job*, not a worker pool. Before this module every scan call and
-every ``engine="process"`` pipeline built (and tore down) its own
-:class:`~repro.graphkit.parallel.ShardedExecutor` — pool startup
-dominated small jobs and each teardown was a leak hazard.
+scan *job*, not a worker pool.
 
-:class:`ComputeService` owns **one** persistent shared-memory process
-pool for the whole process:
+:class:`ComputeService` is the one executor: it owns a persistent
+:class:`~concurrent.futures.ProcessPoolExecutor` over the shared-memory
+data plane of :mod:`repro.graphkit.parallel`, started lazily (or
+eagerly by :meth:`ComputeService.start`, to pin the fork point):
 
 * Sessions register with a *budget* (``service.session(name,
   budget_ms=...)``) and submit jobs through leases. A small
@@ -16,44 +15,42 @@ pool for the whole process:
   share**: priority is ``spent_ms / budget_ms`` (lower runs sooner, FIFO
   tiebreak), so a session that has consumed little of its budget
   overtakes one that has been hogging the pool.
-* :meth:`ComputeService.lease` returns a :class:`ServiceExecutor` that
-  duck-types ``ShardedExecutor`` (``share`` / ``cancel_flag`` / ``run``
-  / ``submit`` / ``close``), so every existing shard→merge call site
-  works unchanged — ``close()`` releases only the lease's datasets and
-  flags, never the pool.
+* :meth:`ComputeService.lease` returns a :class:`ServiceExecutor`, the
+  handle every shard→merge call site takes (``share`` / ``cancel_flag``
+  / ``run`` / ``submit`` / ``close``); ``close()`` releases only the
+  lease's datasets and flags, never the pool.
 * Worker crashes are detected (``BrokenProcessPool``), the pool is
   rebuilt once per crash (generation-guarded, so a burst of failed
   futures from one dead worker triggers one rebuild), and the affected
   jobs are resubmitted with bounded retries.
-* The ``workers=0`` serial twin is preserved: a serial service runs
-  every job inline on the parent-side arrays, bit-identical to the
-  pooled run.
+* The ``workers=0`` serial twin: a serial service starts no pool, places
+  nothing in shared memory and runs every job inline on the caller's
+  thread over the parent-side arrays, bit-identical to the pooled run.
 
 Module-level :func:`get_compute_service` /
 :func:`shutdown_compute_service` manage the per-process singleton; an
 ``atexit`` hook guarantees the pool and every outstanding segment are
-released even when no caller ever closes anything.
+released even when no caller ever closes anything, and a service that
+is dropped without :meth:`~ComputeService.close` shuts its pool down
+from a finalizer.
 """
 
 from __future__ import annotations
 
 import atexit
 import itertools
+import os
 import threading
 import time
 import weakref
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import get_context
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .parallel import (
-    ShardedExecutor,
-    SharedCancelFlag,
-    SharedDataset,
-    _close_resources,
-)
+from .parallel import SharedCancelFlag, SharedDataset, _run_shard, effective_workers
 
 __all__ = [
     "ComputeService",
@@ -64,6 +61,27 @@ __all__ = [
     "get_compute_service",
     "shutdown_compute_service",
 ]
+
+
+def _close_resources(resources: list) -> None:
+    """Close every tracked dataset/flag; one failure never strands the rest."""
+    pending, resources[:] = list(resources), []
+    for res in pending:
+        try:
+            res.close()
+        except Exception:  # pragma: no cover - best-effort teardown
+            pass
+
+
+def _drop_pool(slot: list, *, wait: bool = False) -> None:
+    """Shut down the pool held in ``slot`` (if any) and empty the slot.
+
+    Also the finalizer of a service dropped without ``close()``: the slot
+    is shared with it, so the pool never outlives its service.
+    """
+    pool, slot[0] = slot[0], None
+    if pool is not None:
+        pool.shutdown(wait=wait, cancel_futures=not wait)
 
 
 class ComputeStats:
@@ -187,16 +205,18 @@ class _Job:
 
 
 class ServiceExecutor:
-    """A lease on the shared service, duck-typing ``ShardedExecutor``.
+    """A lease on a :class:`ComputeService`: the executor shard→merge
+    call sites take.
 
-    Existing shard→merge call sites take an ``executor=`` whose surface
-    is ``workers`` / ``serial`` / ``share`` / ``cancel_flag`` / ``run``
-    / ``submit`` / ``close``; a lease provides exactly that surface but
-    routes every job through the service's scheduler. ``workers`` is the
-    *logical* width used for chunking (callers decide shard counts with
-    it), independent of the physical pool width. ``close()`` releases
-    the datasets and flags created through this lease — never the
-    shared pool.
+    The **shard→merge contract**: ``run(fn, payloads, dataset)`` executes
+    ``fn(payload, arrays)`` for every payload and returns the results in
+    payload order, regardless of which worker finished first. ``fn`` must
+    be a module-level pure function of ``(payload, arrays)`` (workers
+    import it by reference). Every job goes through the service's
+    scheduler. ``workers`` is the *logical* width used for chunking
+    (callers decide shard counts with it), independent of the physical
+    pool width; it is 0 on a serial service. ``close()`` releases the
+    datasets and flags created through this lease — never the pool.
     """
 
     __slots__ = ("_service", "_workers", "_session", "_state", "_closed", "__weakref__")
@@ -205,8 +225,8 @@ class ServiceExecutor:
         self._service = service
         self._workers = max(1, int(workers)) if not service.serial else 0
         self._session = session
-        # Same leak backstop as ShardedExecutor: a lease dropped without
-        # close() still unlinks its segments via the finalizer.
+        # Leak backstop: a lease dropped without close() still unlinks
+        # its segments via the finalizer.
         self._state: list = []
         self._closed = False
         weakref.finalize(self, _close_resources, self._state)
@@ -225,7 +245,11 @@ class ServiceExecutor:
         return self._session
 
     def share(self, **arrays: np.ndarray) -> SharedDataset:
-        """Place arrays in shared memory; the lease owns their lifetime."""
+        """Place arrays in shared memory; the lease owns their lifetime.
+
+        A serial lease skips placement: the dataset wraps the caller's
+        arrays, and shards read them in place.
+        """
         if self._closed:
             raise RuntimeError("lease is closed")
         ds = SharedDataset(arrays, place=not self.serial)
@@ -250,7 +274,11 @@ class ServiceExecutor:
         payload: Any,
         dataset: SharedDataset | None = None,
     ) -> Future:
-        """Enqueue one shard on the shared service; returns its future."""
+        """Enqueue one shard on the service; returns its future.
+
+        A serial lease runs the shard inline and returns a resolved
+        future.
+        """
         if self._closed:
             raise RuntimeError("lease is closed")
         return self._service.submit_job(fn, payload, dataset, session=self._session)
@@ -298,7 +326,12 @@ class ComputeService:
         :func:`~repro.graphkit.parallel.effective_workers`; ``0`` is the
         serial twin — jobs run inline, bit-identical to pooled runs.
     start_method:
-        Forwarded to :class:`ShardedExecutor` (fork default on POSIX).
+        Multiprocessing start method of the pool. The default (or the
+        ``REPRO_START_METHOD`` env var) prefers ``fork`` on POSIX — cheap
+        task setup, inherited attach cache — and ``spawn`` elsewhere.
+        Forking is only safe while the process is single-threaded, so
+        call :meth:`start` from the main thread during setup, or force
+        ``"spawn"`` on heavily-threaded hosts.
     max_retries:
         How many times a job killed by a worker crash is resubmitted
         before its future fails with ``BrokenProcessPool``.
@@ -313,7 +346,14 @@ class ComputeService:
     ):
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        self._executor = ShardedExecutor(workers, start_method=start_method)
+        self._workers = effective_workers() if workers is None else int(workers)
+        if self._workers < 0:
+            raise ValueError(f"workers must be >= 0, got {self._workers}")
+        self._start_method = start_method
+        # The pool sits in a one-slot list shared with the finalizer, so a
+        # service dropped without close() still shuts its pool down.
+        self._pool: list[ProcessPoolExecutor | None] = [None]
+        weakref.finalize(self, _drop_pool, self._pool)
         # Re-entrant: a pool future that is already done fires its
         # done-callback inline inside add_done_callback, i.e. while the
         # dispatching thread still holds the lock.
@@ -334,11 +374,11 @@ class ComputeService:
     @property
     def workers(self) -> int:
         """Physical pool width (0 = serial twin)."""
-        return self._executor.workers
+        return self._workers
 
     @property
     def serial(self) -> bool:
-        return self._executor.serial
+        return self._workers == 0
 
     @property
     def closed(self) -> bool:
@@ -359,7 +399,7 @@ class ComputeService:
     @property
     def pool_started(self) -> bool:
         """Whether a live worker pool exists right now."""
-        return self._executor.started
+        return self._pool[0] is not None
 
     def start(self) -> "ComputeService":
         """Warm the pool now (main-thread fork point) instead of lazily."""
@@ -405,12 +445,15 @@ class ComputeService:
 
         ``workers`` sets the lease's *logical* chunking width only
         (default: the physical pool width); the pool itself is shared
-        and never resized by a lease.
+        and never resized by a lease. A negative width raises
+        :class:`ValueError`.
         """
+        width = self.workers if workers is None else int(workers)
+        if width < 0:
+            raise ValueError(f"workers must be >= 0, got {width}")
         with self._lock:
             if self._closed:
                 raise RuntimeError("compute service is closed")
-            width = self.workers if workers is None else int(workers)
             return ServiceExecutor(self, width, session or self._house)
 
     # ------------------------------------------------------------------
@@ -469,10 +512,19 @@ class ComputeService:
         for setter, value in resolves:
             setter(value)
 
-    def _ensure_pool_locked(self) -> None:
-        if not self.serial and not self._executor.started:
-            self._executor.start()
-            self.stats.pools_started += 1
+    def _ensure_pool_locked(self) -> ProcessPoolExecutor | None:
+        if self.serial or self._pool[0] is not None:
+            return self._pool[0]
+        method = (
+            self._start_method
+            or os.environ.get("REPRO_START_METHOD")
+            or ("fork" if os.name == "posix" else "spawn")
+        )
+        self._pool[0] = ProcessPoolExecutor(
+            max_workers=self._workers, mp_context=get_context(method)
+        )
+        self.stats.pools_started += 1
+        return self._pool[0]
 
     def _dispatch_locked(self, resolves: list[tuple]) -> None:
         # Keep at most pool-width jobs on the pool, so ordering is decided
@@ -485,11 +537,12 @@ class ComputeService:
         ):
             job = min(self._pending, key=lambda j: (j.session.priority, j.seq))
             self._pending.remove(job)
-            self._ensure_pool_locked()
+            pool = self._ensure_pool_locked()
             job.pool_gen = self._pool_gen
             job.dispatched_at = time.perf_counter()
+            specs = job.dataset.specs if job.dataset is not None else {}
             try:
-                fut = self._executor.submit(job.fn, job.payload, job.dataset)
+                fut = pool.submit(_run_shard, (job.fn, job.payload, specs))
             except BrokenProcessPool:
                 self._handle_crash_locked(job, resolves)
                 continue
@@ -526,11 +579,12 @@ class ComputeService:
         # once; the generation guard makes the burst rebuild the pool
         # exactly once, and each affected job is re-enqueued (shared
         # segments outlive workers — fresh workers re-attach by name).
+        # The broken pool is dropped without waiting; the next dispatch
+        # starts a fresh one.
         if job.pool_gen == self._pool_gen:
             self.stats.worker_crashes += 1
             self._pool_gen += 1
-            if self._executor.started:
-                self._executor.restart()
+            _drop_pool(self._pool)
         job.attempts += 1
         if self._closed:
             # close() already drained the queue; nothing will re-dispatch
@@ -571,7 +625,7 @@ class ComputeService:
             job.future.set_exception(RuntimeError("compute service is closed"))
         # shutdown(wait=True) lets in-flight jobs finish; their done
         # callbacks resolve the public futures on the way out.
-        self._executor.close()
+        _drop_pool(self._pool, wait=True)
         with self._lock:
             self._sessions.clear()
 

@@ -15,8 +15,8 @@ Execution model (see ``docs/ARCHITECTURE.md``, *The sharded scanning
 engine*): the per-cut-off descriptor loop and multi-frame scans are
 expressed as pure **shard functions** over frozen shared-memory arrays
 (the sorted contact order for one frame, the coordinate block for a
-trajectory) and dispatched through a
-:class:`~repro.graphkit.parallel.ShardedExecutor`. ``workers=0``
+trajectory) and dispatched through a lease on a
+:class:`~repro.graphkit.service.ComputeService`. ``workers=0``
 (default) runs the same shard functions serially in-process; any
 ``workers > 0`` run is bit-identical because every descriptor is a pure
 function of the cut-off's edge set — component counts come from an
@@ -27,8 +27,6 @@ labels are independent of shard boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
-
 import numpy as np
 
 from ..graphkit import core_decomposition, local_clustering
@@ -36,8 +34,8 @@ from ..graphkit.components import connected_components
 from ..graphkit.csr import CSRDelta, CSRSnapshotBuffer, pack_edge_keys
 from ..graphkit.incremental import IncrementalMeasures
 from ..graphkit.kernels import sorted_contact_order
-from ..graphkit.parallel import ShardedExecutor, chunk_ranges
-from ..graphkit.service import get_compute_service
+from ..graphkit.parallel import chunk_ranges
+from ..graphkit.service import ComputeService, ServiceExecutor, get_compute_service
 from ..md.distances import residue_distance_matrix
 from ..md.topology import Topology
 from ..graphkit.layout import maxent_stress_layout, maxent_stress_value
@@ -351,22 +349,25 @@ def _validated_cutoffs(cutoffs: np.ndarray | list[float]) -> np.ndarray:
     return cutoffs
 
 
-def _resolve_executor(workers: int | None, executor) -> tuple[Any, bool]:
-    """The executor to scan with, and whether this call owns (closes) it.
+def _resolve_executor(
+    workers: int | None, executor: ServiceExecutor | None
+) -> tuple[ServiceExecutor, bool]:
+    """The lease to scan with, and whether this call owns (closes) it.
 
-    ``workers=0`` is the serial in-process twin (no pool, no shared-memory
-    placement). Any ``workers > 0`` (or ``None``) takes a **lease** on the
-    process-wide :class:`~repro.graphkit.service.ComputeService` instead
-    of spawning a dedicated pool: repeated scans — even in tight loops —
-    reuse one warm worker pool, and "owning" the executor only means
-    releasing the lease's datasets afterwards, never tearing the pool
-    down. Passing ``executor=`` (a ``ShardedExecutor`` or another lease)
-    bypasses the service entirely.
+    A given ``executor=`` lease is used as is and never closed.
+    ``workers=0`` is the serial in-process twin: a lease on a private
+    ``ComputeService(0)`` (no pool, no shared-memory placement, and the
+    process-wide service is never created). Any other width (``None`` =
+    the pool width) takes a lease on the process-wide
+    :class:`~repro.graphkit.service.ComputeService`: repeated scans —
+    even in tight loops — reuse one warm worker pool, and "owning" the
+    lease only means releasing its datasets afterwards, never tearing
+    the pool down. A negative width raises :class:`ValueError`.
     """
     if executor is not None:
         return executor, False
     if workers == 0:
-        return ShardedExecutor(0), True
+        return ComputeService(0).lease(), True
     return get_compute_service().lease(workers), True
 
 
@@ -377,7 +378,7 @@ def fan_out_frames(
     payload_tail: tuple,
     *,
     workers: int | None,
-    executor: Any | None,
+    executor: ServiceExecutor | None,
     spans: list[tuple[int, int]] | None = None,
 ) -> list:
     """Run a frame-axis shard function over contiguous frame blocks.
@@ -422,7 +423,7 @@ def scan_sorted_contacts(
     sorted_d: np.ndarray,
     cutoffs: np.ndarray,
     *,
-    executor: Any,
+    executor: ServiceExecutor,
 ) -> tuple[np.ndarray, ...]:
     """Sharded descriptor sweep over a precomputed sorted contact order.
 
@@ -453,7 +454,7 @@ def cutoff_scan(
     criterion: DistanceCriterion | str = DistanceCriterion.MINIMUM,
     impl: str = "vectorized",
     workers: int | None = 0,
-    executor: Any | None = None,
+    executor: ServiceExecutor | None = None,
 ) -> CutoffScan:
     """Sweep cut-offs and collect topology descriptors for one frame.
 
@@ -461,10 +462,11 @@ def cutoff_scan(
     once and walks sorted-contact prefixes; ``impl="reference"`` rebuilds
     the RIN per cut-off (the naive path, kept for differential testing).
 
-    ``workers`` shards the per-cut-off descriptor loop across a process
-    pool (``0`` = serial in-process, bit-identical results; ``None`` =
-    one worker per core). Pass a live ``executor`` instead to amortize
-    pool start-up across scans — the call then never closes it.
+    ``workers`` shards the per-cut-off descriptor loop across the shared
+    compute service's pool (``0`` = serial in-process, bit-identical
+    results; ``None`` = the pool width). Pass an ``executor`` lease
+    instead to schedule under its service and session — the call then
+    never closes it.
     """
     if impl not in _IMPLEMENTATIONS:
         raise ValueError(f"impl must be one of {_IMPLEMENTATIONS}, got {impl!r}")
@@ -504,7 +506,7 @@ def trajectory_cutoff_scan(
     frames: np.ndarray | list[int] | None = None,
     criterion: DistanceCriterion | str = DistanceCriterion.MINIMUM,
     workers: int | None = 0,
-    executor: Any | None = None,
+    executor: ServiceExecutor | None = None,
 ) -> TrajectoryScan:
     """Cut-off scans across trajectory frames, fanned out over the pool.
 
@@ -555,7 +557,7 @@ def trajectory_layout_scan(
     chain_length: int = LAYOUT_CHAIN_LENGTH,
     layout_params: dict | None = None,
     workers: int | None = 0,
-    executor: Any | None = None,
+    executor: ServiceExecutor | None = None,
 ) -> TrajectoryLayoutScan:
     """Maxent-Stress layouts across trajectory frames, warm-started.
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..graphkit.csr import CSRGraph, CSRSnapshotBuffer, pack_edge_keys
 from ..graphkit.incremental import IncrementalMeasures
+from ..graphkit.service import ServiceExecutor
 from ..md.distances import contact_pairs, residue_distance_matrix
 from ..md.trajectory import Trajectory
 from .criteria import DistanceCriterion
@@ -119,13 +120,13 @@ def measure_over_trajectory(
     criterion: DistanceCriterion | str = DistanceCriterion.MINIMUM,
     frames: np.ndarray | None = None,
     workers: int | None = 0,
-    executor: Any | None = None,
+    executor: ServiceExecutor | None = None,
 ) -> MeasureSeries:
     """Compute one measure on the RIN of every (selected) frame.
 
     ``workers`` fans the frame loop out across the process pool
-    (``0`` = serial, ``None`` = one worker per core); pass a live
-    ``executor`` to amortize pool start-up across series.
+    (``0`` = serial, ``None`` = the pool width); pass an ``executor``
+    lease to schedule under its service and session instead.
     """
     get_measure(measure)  # validates the name before any fan-out
     crit = DistanceCriterion.parse(criterion)
@@ -155,7 +156,7 @@ def topology_over_trajectory(
     *,
     criterion: DistanceCriterion | str = DistanceCriterion.MINIMUM,
     workers: int | None = 0,
-    executor: Any | None = None,
+    executor: ServiceExecutor | None = None,
 ) -> dict[str, np.ndarray]:
     """Per-frame topology summaries: edges, components, mean degree,
     max coreness.

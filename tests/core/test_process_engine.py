@@ -105,7 +105,7 @@ class TestProcessEngineAsync:
 
 
 class TestComputePlacement:
-    """The process engine on the shared service vs. a dedicated pool."""
+    """Process-engine sessions share the one compute service's pool."""
 
     @pytest.fixture(autouse=True)
     def _fresh_service(self):
@@ -113,25 +113,9 @@ class TestComputePlacement:
         yield
         shutdown_compute_service()
 
-    def test_compute_validated(self, rin):
-        with pytest.raises(ValueError):
-            UpdatePipeline(rin, engine="process", compute="gpu")
-
     def test_sessions_share_one_pool(self, trp_traj):
         svc = configure_compute_service(workers=1)
-        with UpdatePipeline(
-            DynamicRIN(trp_traj, frame=0, cutoff=4.5), engine="process"
-        ) as a, UpdatePipeline(
-            DynamicRIN(trp_traj, frame=0, cutoff=4.5), engine="process"
-        ) as b:
-            assert a.compute_kind == "shared" == b.compute_kind
-            a.switch_cutoff(6.0)
-            b.switch_cutoff(6.0)
-            assert np.array_equal(a.maxent_coordinates, b.maxent_coordinates)
-        assert svc.stats.pools_started == 1
-        assert svc.pool_started  # closing sessions leaves the pool warm
 
-    def test_dedicated_matches_shared_and_thread(self, trp_traj):
         def make(**kwargs):
             return UpdatePipeline(
                 DynamicRIN(trp_traj, frame=0, cutoff=4.5),
@@ -139,23 +123,18 @@ class TestComputePlacement:
                 **kwargs,
             )
 
-        with make() as thread_pipe, make(
-            engine="process", compute="shared"
-        ) as shared_pipe, make(engine="process", compute="dedicated") as dedicated_pipe:
-            assert dedicated_pipe.compute_kind == "dedicated"
+        with make() as thread_pipe, make(engine="process") as a, make(
+            engine="process"
+        ) as b:
             for event in ({"cutoff": 6.0}, {"frame": 2}):
-                timings = [
-                    p.apply_event(**event)
-                    for p in (thread_pipe, shared_pipe, dedicated_pipe)
-                ]
+                timings = [p.apply_event(**event) for p in (thread_pipe, a, b)]
                 assert np.array_equal(
-                    thread_pipe.maxent_coordinates, shared_pipe.maxent_coordinates
+                    thread_pipe.maxent_coordinates, a.maxent_coordinates
                 )
-                assert np.array_equal(
-                    thread_pipe.maxent_coordinates,
-                    dedicated_pipe.maxent_coordinates,
-                )
+                assert np.array_equal(a.maxent_coordinates, b.maxent_coordinates)
                 assert all(t.edges_after == timings[0].edges_after for t in timings)
+        assert svc.stats.pools_started == 1
+        assert svc.pool_started  # closing sessions leaves the pool warm
 
 
 class TestWidgetEngineKnob:

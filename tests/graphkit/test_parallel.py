@@ -1,14 +1,16 @@
-"""Unit tests for the parallel utilities."""
+"""Unit tests for the parallel utilities and the lease executor contract."""
 
 import numpy as np
 import pytest
 
+from repro.graphkit import parallel
 from repro.graphkit.parallel import (
-    ShardedExecutor,
     SharedCancelFlag,
+    SharedDataset,
     chunk_ranges,
     effective_workers,
 )
+from repro.graphkit.service import ComputeService
 
 
 class TestChunkRanges:
@@ -57,15 +59,18 @@ def _spanned(payload, arrays):
     return arrays["x"][lo:hi] * 2.0
 
 
-class TestShardedExecutor:
+class TestServiceLease:
+    """The executor contract, on leases of a serial and a pooled service."""
+
     def test_serial_fallback_runs_inline(self):
-        with ShardedExecutor(workers=0) as ex:
-            assert ex.serial
+        with ComputeService(workers=0) as svc, svc.lease() as ex:
+            assert ex.serial and ex.workers == 0
             ds = ex.share(x=np.arange(10.0))
             assert ex.run(_sum_shard, [(0, 5), (5, 10)], ds) == [10.0, 35.0]
+            assert not svc.pool_started
 
     def test_serial_share_is_zero_copy(self):
-        with ShardedExecutor(workers=0) as ex:
+        with ComputeService(workers=0) as svc, svc.lease() as ex:
             x = np.arange(4.0)
             ds = ex.share(x=x)
             assert ds.arrays["x"] is x  # the caller's array, untouched
@@ -74,46 +79,84 @@ class TestShardedExecutor:
     def test_pool_matches_serial(self):
         x = np.arange(100.0)
         payloads = [(0, 30), (30, 60), (60, 100)]
-        with ShardedExecutor(workers=0) as ex0:
+        with ComputeService(workers=0) as svc0, svc0.lease() as ex0:
             serial = ex0.run(_sum_shard, payloads, ex0.share(x=x))
-        with ShardedExecutor(workers=2) as ex2:
+        with ComputeService(workers=2) as svc2, svc2.lease() as ex2:
             pooled = ex2.run(_sum_shard, payloads, ex2.share(x=x))
+            assert svc2.pool_started
         assert serial == pooled
 
     def test_merge_order_is_payload_order(self):
         x = np.arange(20.0)
         payloads = [(10, 20), (0, 10)]  # deliberately out of index order
-        with ShardedExecutor(workers=2) as ex:
+        with ComputeService(workers=2) as svc, svc.lease() as ex:
             parts = ex.run(_spanned, payloads, ex.share(x=x))
         assert np.array_equal(parts[0], x[10:20] * 2)
         assert np.array_equal(parts[1], x[:10] * 2)
 
     def test_submit_future(self):
-        with ShardedExecutor(workers=1) as ex:
+        with ComputeService(workers=2) as svc, svc.lease() as ex:
             fut = ex.submit(_sum_shard, (0, 3), ex.share(x=np.arange(4.0)))
             assert fut.result(timeout=30) == 3.0
 
     def test_submit_serial_resolved(self):
-        with ShardedExecutor(workers=0) as ex:
+        with ComputeService(workers=0) as svc, svc.lease() as ex:
             fut = ex.submit(_sum_shard, (0, 3), ex.share(x=np.arange(4.0)))
             assert fut.done() and fut.result() == 3.0
 
     def test_closed_executor_rejects_work(self):
-        ex = ShardedExecutor(workers=0)
-        ex.close()
-        with pytest.raises(RuntimeError):
-            ex.run(_sum_shard, [(0, 1)])
+        with ComputeService(workers=0) as svc:
+            ex = svc.lease()
+            ex.close()
+            with pytest.raises(RuntimeError):
+                ex.run(_sum_shard, [(0, 1)])
+            with pytest.raises(RuntimeError):
+                ex.share(x=np.arange(2.0))
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
-            ShardedExecutor(workers=-1)
+            ComputeService(workers=-1)
+        with ComputeService(workers=0) as svc:
+            with pytest.raises(ValueError, match="workers"):
+                svc.lease(-2)
 
     def test_effective_workers_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "5")
         assert effective_workers() == 5
+        monkeypatch.setenv("REPRO_WORKERS", "0")
+        assert effective_workers() == 0
         monkeypatch.setenv("REPRO_WORKERS", "junk")
         with pytest.raises(ValueError, match="REPRO_WORKERS"):
             effective_workers()
+        monkeypatch.setenv("REPRO_WORKERS", "-3")
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            effective_workers()
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            ComputeService()
+
+
+class TestAttachCache:
+    def test_trampoline_attaches_by_name_with_lru_eviction(self, monkeypatch):
+        """The worker-side path, run in this process: specs resolve to
+        read-only views of the placed segments, and the cache keeps at
+        most the cap, evicting the least recently used segment."""
+        monkeypatch.setattr(parallel, "_ATTACHED", {})
+        monkeypatch.setattr(parallel, "_ATTACH_CACHE_CAP", 2)
+        datasets = [SharedDataset({"x": np.full(4, float(i))}) for i in range(3)]
+        try:
+            names = [ds.specs["x"][0] for ds in datasets]
+            for i, ds in enumerate(datasets[:2]):
+                task = (_sum_shard, (0, 4), ds.specs)
+                assert parallel._run_shard(task) == 4.0 * i
+            parallel._run_shard((_sum_shard, (0, 4), datasets[0].specs))
+            assert list(parallel._ATTACHED) == [names[1], names[0]]  # touched
+            assert parallel._run_shard((_sum_shard, (0, 4), datasets[2].specs)) == 8.0
+            assert list(parallel._ATTACHED) == [names[0], names[2]]  # 1 evicted
+            assert not parallel._ATTACHED[names[2]].flags.writeable
+        finally:
+            parallel._ATTACHED.clear()
+            for ds in datasets:
+                ds.close()
 
 
 class TestSharedCancelFlag:
@@ -129,7 +172,7 @@ class TestSharedCancelFlag:
             flag.close()
 
     def test_flag_visible_across_processes(self):
-        with ShardedExecutor(workers=1) as ex:
+        with ComputeService(workers=1) as svc, svc.lease() as ex:
             flag = ex.cancel_flag()
             assert ex.run(_echo_flag, [flag]) == [False]
             flag.set()

@@ -4,8 +4,9 @@ betweenness estimator (``Betweenness(weighted=True, impl="sampled")``).
 The estimator's contract has three legs, each pinned here:
 
 * **determinism** — the pivot set is a pure function of ``seed`` and the
-  shard boundaries are fixed (``SAMPLED_SHARD``), so the same seed gives
-  bit-identical scores for *any* worker count (serial twin included);
+  estimate is one weighted-kernel call over it, so the same seed gives
+  bit-identical scores, whether solved inline or in compute-service pool
+  workers of any width;
 * **convergence** — the Hoeffding bound shrinks monotonically with the
   sample count, observed errors stay inside it, and sampling every
   source reproduces the exact engine;
@@ -20,6 +21,8 @@ from repro.graphkit.centrality import (
     Betweenness,
     sampled_betweenness_error_bound,
 )
+from repro.graphkit.kernels import batched_weighted_dependencies
+from repro.graphkit.service import ComputeService
 from tests.helpers import random_weighted
 
 
@@ -28,7 +31,7 @@ def weighted_graph():
     return random_weighted(80, 0.08, 5)
 
 
-def _sampled(g, nsamples, *, seed=42, workers=0, normalized=False):
+def _sampled(g, nsamples, *, seed=42, normalized=False):
     return (
         Betweenness(
             g,
@@ -36,12 +39,16 @@ def _sampled(g, nsamples, *, seed=42, workers=0, normalized=False):
             impl="sampled",
             nsamples=nsamples,
             seed=seed,
-            workers=workers,
             normalized=normalized,
         )
         .run()
         .scores_array()
     )
+
+
+def _sampled_job(payload, arrays):
+    g, nsamples, seed = payload
+    return _sampled(g, nsamples, seed=seed)
 
 
 class TestSeededDeterminism:
@@ -58,12 +65,31 @@ class TestSeededDeterminism:
 
     @pytest.mark.parametrize("workers", [1, 8])
     def test_worker_count_bit_identity(self, weighted_graph, workers):
-        # 40 pivots span two fixed shards; distributing those shards
-        # over any pool width must not change a single bit, because the
-        # merge happens in payload order.
-        serial = _sampled(weighted_graph, 40, workers=0)
-        pooled = _sampled(weighted_graph, 40, workers=workers)
-        assert np.array_equal(serial, pooled)
+        # The estimate is a pure function of graph and seed: solving it
+        # in pool workers of any width must not change a single bit, and
+        # the results come back in payload order.
+        seeds = [42, 7, 3]
+        serial = [_sampled(weighted_graph, 40, seed=s) for s in seeds]
+        with ComputeService(workers=workers) as svc, svc.lease() as ex:
+            pooled = ex.run(
+                _sampled_job, [(weighted_graph, 40, s) for s in seeds]
+            )
+            assert svc.pool_started
+        assert len(pooled) == len(serial)
+        for a, b in zip(serial, pooled):
+            assert np.array_equal(a, b)
+
+    def test_estimate_is_one_kernel_call(self, weighted_graph):
+        # The estimate is the weighted kernel over the seeded pivots,
+        # scaled by n / k and halved — bit for bit.
+        n, k = weighted_graph.number_of_nodes(), 40
+        pivots = np.random.default_rng(42).choice(n, size=k, replace=False)
+        direct = batched_weighted_dependencies(
+            weighted_graph.csr(), pivots.astype(np.int64)
+        )
+        direct *= n / k
+        direct /= 2.0
+        assert np.array_equal(_sampled(weighted_graph, k), direct)
 
 
 class TestConvergence:

@@ -19,7 +19,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.graphkit.parallel import ShardedExecutor, SharedCancelFlag
+from repro.graphkit import parallel
+from repro.graphkit.parallel import SharedCancelFlag
 from repro.graphkit.service import (
     ComputeService,
     ComputeSession,
@@ -110,6 +111,15 @@ class TestServiceBasics:
             assert lease.submit(_sum_shard, (0, 2), lease.share(x=np.arange(3.0))
                                 ).result(timeout=30) == 1.0
 
+    def test_serial_shard_exception_propagates(self):
+        with ComputeService(workers=0) as svc, svc.lease() as lease:
+            fut = lease.submit(_boom_shard, 3)
+            assert fut.done()
+            with pytest.raises(ValueError, match="boom:3"):
+                fut.result()
+            assert svc.stats.jobs_failed == 1
+            assert svc.pending_jobs == 0 == svc.inflight_jobs
+
     def test_closed_service_rejects_work(self):
         svc = ComputeService(workers=0)
         lease = svc.lease()
@@ -120,6 +130,8 @@ class TestServiceBasics:
             svc.lease()
         with pytest.raises(RuntimeError):
             svc.session("late")
+        with pytest.raises(RuntimeError):
+            svc.start()
         # a pre-existing lease routes into the closed service and refuses too
         with pytest.raises(RuntimeError):
             lease.submit(_sum_shard, (0, 1))
@@ -341,14 +353,20 @@ class TestNoLeaks:
             assert not os.path.exists(f"/dev/shm/{name}")
 
     def test_dropped_executor_finalizer_unlinks_segments(self):
-        ex = ShardedExecutor(workers=1)
+        """A private service and its lease, both dropped without close():
+        the finalizers shut the pool down and unlink every segment."""
+        svc = ComputeService(workers=1)
+        ex = svc.lease()
         ds = ex.share(x=np.arange(8.0))
         (name, _, _) = ds.specs["x"]
         assert ex.run(_sum_shard, [(0, 8)], ds) == [28.0]
-        assert os.path.exists(f"/dev/shm/{name}")
-        del ex, ds
+        pool = svc._pool[0]
+        assert pool is not None and os.path.exists(f"/dev/shm/{name}")
+        del svc, ex, ds
         gc.collect()
         assert not os.path.exists(f"/dev/shm/{name}")
+        with pytest.raises(RuntimeError):  # the finalizer shut it down
+            pool.submit(int)
 
     def test_cancel_flag_pickle_round_trip_closes_attachment(self):
         flag = SharedCancelFlag()
@@ -403,8 +421,10 @@ class TestAttachCacheLRU:
         """With a cache cap of 1, attaching each subsequent array of one
         job evicts the previous one *while its view is in use* — the
         parked-eviction path must keep the pages alive for the shard."""
-        monkeypatch.setenv("REPRO_ATTACH_CACHE", "1")
-        with ComputeService(workers=1) as svc, svc.lease() as lease:
+        # fork: the pool's worker inherits the patched cap.
+        monkeypatch.setattr(parallel, "_ATTACH_CACHE_CAP", 1)
+        svc = ComputeService(workers=1, start_method="fork")
+        with svc, svc.lease() as lease:
             a, b, c = np.arange(4.0), np.arange(8.0), np.arange(16.0)
             ds = lease.share(a=a, b=b, c=c)
             expected = float(a.sum() + b.sum() + c.sum())
@@ -415,21 +435,12 @@ class TestAttachCacheLRU:
         """A long-lived worker cycling through more datasets than the cap
         keeps answering correctly (stale mappings are evicted, segments
         re-attached on demand)."""
-        monkeypatch.setenv("REPRO_ATTACH_CACHE", "2")
-        with ComputeService(workers=1) as svc, svc.lease() as lease:
+        monkeypatch.setattr(parallel, "_ATTACH_CACHE_CAP", 2)
+        svc = ComputeService(workers=1, start_method="fork")
+        with svc, svc.lease() as lease:
             datasets = [
                 (i, lease.share(x=np.full(16, float(i)))) for i in range(6)
             ]
             for _ in range(2):
                 for i, ds in datasets:
                     assert lease.run(_sum_shard, [(0, 16)], ds) == [16.0 * i]
-
-    def test_cap_resolution(self, monkeypatch):
-        from repro.graphkit.parallel import _attach_cache_cap
-
-        monkeypatch.delenv("REPRO_ATTACH_CACHE", raising=False)
-        assert _attach_cache_cap() == 32
-        monkeypatch.setenv("REPRO_ATTACH_CACHE", "4")
-        assert _attach_cache_cap() == 4
-        monkeypatch.setenv("REPRO_ATTACH_CACHE", "garbage")
-        assert _attach_cache_cap() == 32

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from repro.graphkit import service as service_mod
-from repro.graphkit.parallel import ShardedExecutor
 from repro.graphkit.service import (
+    ComputeService,
     configure_compute_service,
     get_compute_service,
     shutdown_compute_service,
@@ -108,11 +108,17 @@ class TestCutoffScanShardDeterminism:
         """One warm pool across many scans (the service steady state)."""
         topo, coords = a3d_traj.topology, a3d_traj.frame(0)
         serial = cutoff_scan(topo, coords, CUTOFFS, workers=0)
-        with ShardedExecutor(workers=2) as ex:
+        with ComputeService(workers=2) as svc, svc.lease() as ex:
             for _ in range(3):
                 assert_scans_identical(
                     cutoff_scan(topo, coords, CUTOFFS, executor=ex), serial
                 )
+            assert svc.stats.pools_started == 1
+
+    def test_negative_workers_rejected(self, a3d_traj):
+        topo, coords = a3d_traj.topology, a3d_traj.frame(0)
+        with pytest.raises(ValueError, match="workers"):
+            cutoff_scan(topo, coords, [4.0, 5.0], workers=-2)
 
 
 class TestScanServiceReuse:
@@ -144,8 +150,9 @@ class TestScanServiceReuse:
 
     def test_explicit_executor_bypasses_service(self, a3d_traj):
         topo, coords = a3d_traj.topology, a3d_traj.frame(0)
-        with ShardedExecutor(workers=2) as ex:
+        with ComputeService(workers=2) as svc, svc.lease() as ex:
             cutoff_scan(topo, coords, CUTOFFS, executor=ex)
+            assert svc.stats.jobs_completed >= 1
         assert service_mod._GLOBAL is None
 
 
@@ -182,6 +189,10 @@ class TestTrajectoryScanShardDeterminism:
             trajectory_cutoff_scan(a3d_traj, CUTOFFS, frames=[99])
         with pytest.raises(ValueError):
             trajectory_cutoff_scan(a3d_traj, CUTOFFS, frames=[])
+
+    def test_negative_workers_rejected(self, a3d_traj):
+        with pytest.raises(ValueError, match="workers"):
+            trajectory_cutoff_scan(a3d_traj, CUTOFFS, frames=[0], workers=-1)
 
 
 class TestDynamicRINScan:
